@@ -14,7 +14,7 @@
 // pick an ephemeral port; the bound port is printed at startup). Routes:
 // /metrics /healthz /varz /epochs /events /timeseries /profile /anomalies.
 // `num_replicas` > 0 starts that many epoch-shipping read replicas at
-// boot (DESIGN.md §15; more can be added with `replicas start <n>`).
+// boot (DESIGN.md §14; more can be added with `replicas start <n>`).
 // The writer always publishes installed epochs to <data_dir>/ship.log,
 // so replicas can attach at any time.
 //
@@ -91,7 +91,7 @@ void PrintHelp() {
       "          history [metric] | profile [collapsed] | anomalies |\n"
       "          replicas [start <n> | catchup | query <i> "
       "SELECT ...] |\n"
-      "          mqo | dicts | save <dir> | help | quit\n");
+      "          dicts | save <dir> | help | quit\n");
 }
 
 core::ChangeSet MakeChanges(const rel::Catalog& catalog,
@@ -535,15 +535,6 @@ int main(int argc, char** argv) {
           std::printf(
               "usage: replicas [start <n> | catchup | query <i> "
               "SELECT ...]\n");
-        }
-      } else if (upper == "MQO") {
-        if (svc->GetStats().batches == 0) {
-          std::printf("no batch yet; run `batch <kind> <n>` first\n");
-        } else {
-          const warehouse::BatchReport report = svc->LastReport();
-          std::printf("%s", lattice::FormatMqoReport(report.mqo,
-                                                     report.shared_execs)
-                                .c_str());
         }
       } else if (upper == "METRICS") {
         std::printf("%s", obs::ExportPrometheus(metrics).c_str());

@@ -15,7 +15,7 @@
 
 namespace sdelta::replica {
 
-/// A read-only warehouse replica (DESIGN.md §15): tails a ship stream,
+/// A read-only warehouse replica (DESIGN.md §14): tails a ship stream,
 /// applies each record through the normal batch pipeline, and installs
 /// the writer's epoch numbers into its own VersionedTables — so a
 /// caught-up replica serves exactly the snapshots the writer's readers

@@ -7,7 +7,7 @@
 
 namespace sdelta::replica {
 
-/// Epoch shipping (DESIGN.md §15): the writer publishes one ShipRecord
+/// Epoch shipping (DESIGN.md §14): the writer publishes one ShipRecord
 /// per maintenance batch it installs — the coalesced change set the
 /// batch applied, stamped with the epoch readers saw after the install
 /// and the WAL sequence range it covered. A replica that applies ship

@@ -32,7 +32,7 @@ class ShipTransport {
 };
 
 /// Tails a FileShipLog stream on local disk (the file transport of
-/// DESIGN.md §15). Stateless between calls: every Fetch re-reads the
+/// DESIGN.md §14). Stateless between calls: every Fetch re-reads the
 /// file, so a replica sees records the writer appended after the
 /// replica opened the transport.
 class FileShipTransport : public ShipTransport {

@@ -103,7 +103,7 @@ class WarehouseService {
     obs::AnomalyConfig anomaly;
     /// Flight-recorder retention: newest bundles kept on disk.
     size_t max_anomaly_bundles = 8;
-    /// Epoch shipping (DESIGN.md §15): after each epoch install the
+    /// Epoch shipping (DESIGN.md §14): after each epoch install the
     /// maintenance thread publishes one ShipRecord (the batch's
     /// coalesced change set + seq range + epoch) for read replicas to
     /// replay. Must outlive the service. Epoch numbering fast-forwards

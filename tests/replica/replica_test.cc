@@ -1,4 +1,4 @@
-// Epoch-shipping replication (DESIGN.md §15): a ReadReplica that
+// Epoch-shipping replication (DESIGN.md §14): a ReadReplica that
 // replays the writer's ship stream converges to byte-identical summary
 // state — asserted per epoch — and every failure path (CRC-corrupt
 // record, duplicate delivery, sequence gap, replica restart, writer

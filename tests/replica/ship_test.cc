@@ -1,4 +1,4 @@
-// Ship-stream framing (DESIGN.md §15): CRC-covered frames, torn-tail
+// Ship-stream framing (DESIGN.md §14): CRC-covered frames, torn-tail
 // detection, and the durable FileShipLog's scan/truncate/resume
 // behavior — the wire contract replicas depend on for the CRC-reject
 // and re-request failure paths.
