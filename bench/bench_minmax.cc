@@ -1,13 +1,13 @@
-// Ablation (paper §4.2): MIN/MAX recomputation strategy in refresh.
+// Ablation (paper §4.2): MIN/MAX recomputation in refresh.
 //
 // MIN/MAX are not self-maintainable under deletions; when a deletion
 // ties or beats a group's extremum, the group must be recomputed from
-// base data. This bench compares:
-//   * Batched   — collect all affected groups, recompute them in ONE
-//                 scan of the base data (our default);
-//   * PerGroup  — scan the base data once per affected group (the
-//                 naive reading of Figure 7).
-// The gap grows with the number of affected groups per batch.
+// base data. Refresh collects all affected groups and recomputes them in
+// ONE scan of the base data. This bench measures that scan against:
+//   * PaperConservative — Figure 7 verbatim: every extremum tie/beat
+//                         recomputes, even for insert-only groups;
+//   * Backfill          — insert-only historical rows, where the taint
+//                         marker removes the base scan entirely.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
@@ -27,16 +27,12 @@ obs::MetricsRegistry& Registry() {
   return *registry;
 }
 
-void RunMinMaxBench(benchmark::State& state, bool batched,
-                    bool trust_untainted = true) {
+void RunMinMaxBench(benchmark::State& state, bool trust_untainted) {
   warehouse::Warehouse::Options options;
-  options.refresh.batch_minmax_recompute = batched;
   options.refresh.trust_untainted_minmax = trust_untainted;
   options.metrics = &Registry();
   warehouse::Warehouse& wh = WarehouseCache::Instance().Get(
-      kPosRows, options,
-      std::string(batched ? "batched" : "pergroup") +
-          (trust_untainted ? "" : "-paper"));
+      kPosRows, options, trust_untainted ? "batched" : "batched-paper");
   uint64_t seed = 300;
   double scan_rows = 0;
   double recomputed = 0;
@@ -64,15 +60,12 @@ void RunMinMaxBench(benchmark::State& state, bool batched,
 }
 
 void BM_MinMaxBatchedRecompute(benchmark::State& state) {
-  RunMinMaxBench(state, true);
-}
-void BM_MinMaxPerGroupRecompute(benchmark::State& state) {
-  RunMinMaxBench(state, false);
+  RunMinMaxBench(state, /*trust_untainted=*/true);
 }
 // Figure 7 verbatim: every extremum tie/beat recomputes, even for
 // insert-only groups (trust_untainted_minmax = false).
 void BM_MinMaxPaperConservative(benchmark::State& state) {
-  RunMinMaxBench(state, true, /*trust_untainted=*/false);
+  RunMinMaxBench(state, /*trust_untainted=*/false);
 }
 
 // Backfill workload: insert-only historical rows beating every touched
@@ -108,12 +101,6 @@ void BM_BackfillPaperConservative(benchmark::State& state) {
 }
 
 BENCHMARK(BM_MinMaxBatchedRecompute)
-    ->RangeMultiplier(4)
-    ->Range(1000, 16000)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(2);
-BENCHMARK(BM_MinMaxPerGroupRecompute)
     ->RangeMultiplier(4)
     ->Range(1000, 16000)
     ->UseManualTime()

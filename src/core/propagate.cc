@@ -1,7 +1,6 @@
 #include "core/propagate.h"
 
 #include <stdexcept>
-#include <unordered_set>
 
 #include "core/prepare_changes.h"
 
@@ -13,7 +12,6 @@ using rel::Table;
 void PropagateStats::EmitTo(obs::MetricsRegistry& metrics) const {
   metrics.Add("propagate.rows_scanned", prepared_tuples);
   metrics.Add("propagate.delta_rows", delta_groups);
-  if (preaggregated) metrics.Add("propagate.preaggregated");
   exec::ForEachOperator(ops, [&](const char* name,
                                  const exec::OperatorCounters& c) {
     if (c.calls == 0) return;
@@ -81,138 +79,6 @@ rel::AggregateSpec TaintFromSources(const AugmentedView& view) {
       kTaintedColumn);
 }
 
-/// True when every referenced column lives in the fact table (resolvable
-/// in the fact table's qualified schema).
-bool FactOnly(const rel::Schema& fact_qualified,
-              const std::vector<std::string>& columns) {
-  for (const std::string& c : columns) {
-    try {
-      if (!fact_qualified.TryResolve(c).has_value()) return false;
-    } catch (const std::invalid_argument&) {
-      return false;  // ambiguous — treat as not fact-only
-    }
-  }
-  return true;
-}
-
-/// Whether the §4.1.3 pre-aggregation rewrite is legal for this view and
-/// change set.
-bool PreaggregationLegal(const rel::Catalog& catalog,
-                         const AugmentedView& view, const ChangeSet& changes) {
-  for (const auto& [dim, delta] : changes.dimensions) {
-    if (!delta.empty()) return false;
-  }
-  const ViewDef& def = view.physical;
-  if (def.joins.empty()) return false;  // nothing to gain
-  const rel::Schema fact_qualified =
-      catalog.GetTable(def.fact_table).schema().Qualified(def.fact_table);
-  if (def.where.has_value() &&
-      !FactOnly(fact_qualified, def.where->ReferencedColumns())) {
-    return false;
-  }
-  for (const rel::AggregateSpec& a : def.aggregates) {
-    if (a.argument.has_value() &&
-        !FactOnly(fact_qualified, a.argument->ReferencedColumns())) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// The §4.1.3 path: project+aggregate the fact delta on fact-level
-/// columns, then join dimensions and re-aggregate to the view's groups.
-Table PreaggregatedDelta(const rel::Catalog& catalog,
-                         const AugmentedView& view, const ChangeSet& changes,
-                         exec::ThreadPool* pool, size_t size_hint,
-                         PropagateStats* stats) {
-  exec::OperatorStats* ops = stats == nullptr ? nullptr : &stats->ops;
-  const ViewDef& def = view.physical;
-  const rel::Schema fact_qualified =
-      catalog.GetTable(def.fact_table).schema().Qualified(def.fact_table);
-
-  // Fact-level grouping: fact-resident group-bys keep their bare names;
-  // dimension-resident group-bys are replaced by the FK column of the
-  // join that provides them.
-  std::vector<std::string> fact_groups;
-  std::unordered_set<std::string> seen;
-  std::vector<size_t> joins_needed;  // indexes into def.joins
-  for (const std::string& g : def.group_by) {
-    if (fact_qualified.TryResolve(g).has_value()) {
-      if (seen.insert(rel::BareName(g)).second) fact_groups.push_back(g);
-      continue;
-    }
-    // Find the providing dimension join.
-    bool found = false;
-    for (size_t i = 0; i < def.joins.size(); ++i) {
-      const rel::Schema& dim = catalog.GetTable(def.joins[i].dim_table)
-                                   .schema();
-      if (dim.IndexOf(rel::BareName(g)).has_value()) {
-        if (seen.insert(def.joins[i].fact_column).second) {
-          fact_groups.push_back(def.fact_table + "." +
-                                def.joins[i].fact_column);
-        }
-        bool already = false;
-        for (size_t k : joins_needed) already |= (k == i);
-        if (!already) joins_needed.push_back(i);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      throw std::logic_error("group-by attribute " + g +
-                             " not found in fact or dimension tables of " +
-                             def.name);
-    }
-  }
-  // FK columns referenced by needed joins must survive the projection
-  // even when they are not view group-bys (handled above via seen-set).
-
-  // Stage 1: prepare + aggregate over the bare fact delta (no joins).
-  AugmentedView fact_stage = view;
-  fact_stage.physical.joins.clear();
-  fact_stage.physical.group_by = fact_groups;
-  ChangeSet fact_changes;
-  fact_changes.fact_table = changes.fact_table;
-  // Share the underlying tables by copying (tables are cheap to copy at
-  // change-set sizes).
-  fact_changes.fact = changes.fact;
-  Table pc = PrepareChanges(catalog, fact_stage, fact_changes, pool, ops);
-  if (stats != nullptr) stats->prepared_tuples = pc.NumRows();
-  // pc columns carry bare names; group by the bare forms.
-  std::vector<std::string> bare_fact_groups;
-  for (const std::string& g : fact_groups) {
-    bare_fact_groups.push_back(rel::BareName(g));
-  }
-  std::vector<rel::AggregateSpec> stage1 = DeltaAggregates(view);
-  stage1.push_back(TaintFromSources(view));
-  Table sd_fact =
-      rel::GroupBy(pc, rel::GroupCols(bare_fact_groups), stage1, pool, ops);
-
-  // Stage 2: join the needed dimensions onto the pre-aggregated delta.
-  Table current = std::move(sd_fact);
-  for (size_t i : joins_needed) {
-    const DimensionJoin& j = def.joins[i];
-    current = rel::HashJoin(current, catalog.GetTable(j.dim_table),
-                            {{j.fact_column, j.dim_column}}, j.dim_table,
-                            /*drop_right_keys=*/true, pool, ops);
-  }
-
-  // Stage 3: re-aggregate to the view's group-by columns. Re-aggregation
-  // uses the same delta aggregates: SUM of partial sums, MIN of partial
-  // minima, ...
-  std::vector<rel::GroupByColumn> final_groups;
-  for (const std::string& g : def.group_by) {
-    final_groups.push_back(rel::GroupByColumn{rel::BareName(g), ""});
-  }
-  std::vector<rel::AggregateSpec> stage3 = DeltaAggregates(view);
-  stage3.push_back(
-      rel::Max(Expression::Column(kTaintedColumn), kTaintedColumn));
-  Table out =
-      rel::GroupBy(current, final_groups, stage3, pool, ops, size_hint);
-  out.SetName("sd_" + def.name);
-  return out;
-}
-
 }  // namespace
 
 rel::Table ComputeSummaryDelta(const rel::Catalog& catalog,
@@ -223,30 +89,20 @@ rel::Table ComputeSummaryDelta(const rel::Catalog& catalog,
   obs::TraceSpan span(options.tracer, "sd.compute");
   span.Attr("view", view.name());
   PropagateStats local;
-  Table out = [&] {
-    if (options.preaggregate && PreaggregationLegal(catalog, view, changes)) {
-      local.preaggregated = true;
-      return PreaggregatedDelta(catalog, view, changes, options.pool,
-                                options.delta_size_hint, &local);
-    }
-    Table pc = PrepareChanges(catalog, view, changes, options.pool,
-                              &local.ops);
-    local.prepared_tuples = pc.NumRows();
-    std::vector<rel::GroupByColumn> groups;
-    for (const std::string& g : view.physical.group_by) {
-      groups.push_back(rel::GroupByColumn{rel::BareName(g), ""});
-    }
-    std::vector<rel::AggregateSpec> specs = DeltaAggregates(view);
-    specs.push_back(TaintFromSources(view));
-    Table grouped = rel::GroupBy(pc, groups, specs, options.pool, &local.ops,
-                                 options.delta_size_hint);
-    grouped.SetName("sd_" + view.name());
-    return grouped;
-  }();
+  Table pc = PrepareChanges(catalog, view, changes, options.pool, &local.ops);
+  local.prepared_tuples = pc.NumRows();
+  std::vector<rel::GroupByColumn> groups;
+  for (const std::string& g : view.physical.group_by) {
+    groups.push_back(rel::GroupByColumn{rel::BareName(g), ""});
+  }
+  std::vector<rel::AggregateSpec> specs = DeltaAggregates(view);
+  specs.push_back(TaintFromSources(view));
+  Table out = rel::GroupBy(pc, groups, specs, options.pool, &local.ops,
+                           options.delta_size_hint);
+  out.SetName("sd_" + view.name());
   local.delta_groups = out.NumRows();
   span.Attr("prepared_tuples", static_cast<uint64_t>(local.prepared_tuples));
   span.Attr("delta_rows", static_cast<uint64_t>(local.delta_groups));
-  span.Attr("preaggregated", local.preaggregated);
   if (options.metrics != nullptr) local.EmitTo(*options.metrics);
   if (stats != nullptr) *stats = local;
   return out;

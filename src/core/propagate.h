@@ -14,10 +14,6 @@
 namespace sdelta::core {
 
 struct PropagateOptions {
-  /// Pre-aggregate fact changes before dimension joins (paper §4.1.3).
-  /// Applied only when legal: no dimension deltas, and the predicate and
-  /// every aggregate argument reference fact columns only.
-  bool preaggregate = false;
   /// Observability sinks (see src/obs/). Null = disabled; every
   /// instrumentation site is behind a single null check.
   obs::Tracer* tracer = nullptr;
@@ -36,13 +32,12 @@ struct PropagateOptions {
 struct PropagateStats {
   size_t prepared_tuples = 0;  ///< rows in the prepare-changes relation
   size_t delta_groups = 0;     ///< rows in the summary-delta table
-  bool preaggregated = false;  ///< whether the §4.1.3 path was taken
   /// Operator-level accounting for this computation (rows in/out,
   /// morsels, join build/probe sizes, wall time per operator kind).
   exec::OperatorStats ops;
 
   /// Folds this run's counters into a registry (propagate.rows_scanned,
-  /// propagate.delta_rows, propagate.preaggregated, and per-operator
+  /// propagate.delta_rows, and per-operator
   /// op.<name>.{calls,rows_in,rows_out,morsels,batches} counters plus
   /// op.<name>.seconds histograms — only for operators invoked at least
   /// once, so untouched operators add no series).

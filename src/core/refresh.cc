@@ -1,6 +1,5 @@
 #include "core/refresh.h"
 
-#include <algorithm>
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
@@ -21,7 +20,7 @@ using rel::Value;
 
 namespace {
 
-/// Column bookkeeping shared by both refresh strategies.
+/// Column bookkeeping for one refresh.
 struct AggregateLayout {
   rel::AggregateKind kind;
   size_t index;            ///< column index in the physical row
@@ -370,9 +369,42 @@ size_t BatchRecompute(const rel::Catalog& catalog, SummaryTable& view,
   return scanned;
 }
 
-RefreshStats RefreshCursor(const rel::Catalog& catalog, SummaryTable& view,
-                           const Table& summary_delta,
-                           const RefreshOptions& options) {
+}  // namespace
+
+void RefreshStats::EmitTo(obs::MetricsRegistry& metrics) const {
+  metrics.Add("refresh.inserts", inserted);
+  metrics.Add("refresh.deletes", deleted);
+  metrics.Add("refresh.updates", updated);
+  metrics.Add("refresh.recomputed_groups", recomputed_groups);
+  metrics.Add("refresh.recompute_scan_rows", recompute_scan_rows);
+  metrics.Add("refresh.minmax_recomputes", minmax_recomputes);
+  // Shared with propagate's per-operator key tallies, so the warehouse
+  // can derive one batch-wide key.packed_ratio gauge.
+  metrics.Add("key.packed_rows", key_packed_ops);
+  metrics.Add("key.fallback_rows", key_fallback_ops);
+}
+
+RefreshStats Refresh(const rel::Catalog& catalog, SummaryTable& view,
+                     const rel::Table& summary_delta,
+                     const RefreshOptions& options) {
+  const size_t arity = view.schema().NumColumns();
+  const size_t delta_arity = summary_delta.schema().NumColumns();
+  const bool has_taint =
+      summary_delta.schema().IndexOf(kTaintedColumn).has_value();
+  if (delta_arity != arity && !(has_taint && delta_arity == arity + 1)) {
+    throw std::invalid_argument(
+        "summary-delta arity does not match summary table " + view.name());
+  }
+  const uint64_t parent =
+      options.parent_span != 0
+          ? options.parent_span
+          : (options.tracer != nullptr ? options.tracer->CurrentSpan() : 0);
+  obs::TraceSpan span(options.tracer, "refresh.view", parent);
+  span.Attr("view", view.name());
+  span.Attr("delta_rows", static_cast<uint64_t>(summary_delta.NumRows()));
+  const uint64_t packed_before = view.packed_key_ops();
+  const uint64_t fallback_before = view.fallback_key_ops();
+  const rel::ProbeStats probes_before = view.probe_stats();
   RefreshStats stats;
   const RefreshLayout layout = MakeLayout(view, summary_delta);
   // Delta keys are grouped (distinct), so a plain vector is the
@@ -424,14 +456,7 @@ RefreshStats RefreshCursor(const rel::Catalog& catalog, SummaryTable& view,
         !options.trust_untainted_minmax || layout.Tainted(t);
     if (may_have_deletions && NeedsRecompute(layout, *old_row, t)) {
       ++stats.minmax_recomputes;
-      if (options.batch_minmax_recompute) {
-        recompute.push_back(std::move(key));
-      } else {
-        std::vector<GroupKey> single;
-        single.push_back(std::move(key));
-        stats.recompute_scan_rows +=
-            BatchRecompute(catalog, view, single, &stats);
-      }
+      recompute.push_back(std::move(key));
       continue;
     }
     UpdateInPlace(layout, *old_row, t);
@@ -440,151 +465,6 @@ RefreshStats RefreshCursor(const rel::Catalog& catalog, SummaryTable& view,
 
   stats.recompute_scan_rows += BatchRecompute(catalog, view, recompute,
                                               &stats);
-  return stats;
-}
-
-RefreshStats RefreshMerge(const rel::Catalog& catalog, SummaryTable& view,
-                          const Table& summary_delta,
-                          const RefreshOptions& options) {
-  RefreshStats stats;
-  const RefreshLayout layout = MakeLayout(view, summary_delta);
-
-  auto key_less = [&](const Row& a, const Row& b) {
-    for (size_t i = 0; i < layout.num_groups; ++i) {
-      const int c = Value::Compare(a[i], b[i]);
-      if (c != 0) return c < 0;
-    }
-    return false;
-  };
-
-  std::vector<Row> old_rows(view.rows().begin(), view.rows().end());
-  std::vector<Row> delta_rows = summary_delta.MaterializeRows();
-  std::sort(old_rows.begin(), old_rows.end(), key_less);
-  std::sort(delta_rows.begin(), delta_rows.end(), key_less);
-
-  std::vector<Row> merged;
-  merged.reserve(old_rows.size() + delta_rows.size());
-  std::vector<GroupKey> recompute_keys;
-
-  size_t i = 0;
-  size_t j = 0;
-  while (i < old_rows.size() || j < delta_rows.size()) {
-    int order;
-    if (i == old_rows.size()) {
-      order = 1;
-    } else if (j == delta_rows.size()) {
-      order = -1;
-    } else {
-      order = key_less(old_rows[i], delta_rows[j])
-                  ? -1
-                  : (key_less(delta_rows[j], old_rows[i]) ? 1 : 0);
-    }
-    if (order < 0) {
-      merged.push_back(std::move(old_rows[i++]));  // untouched group
-    } else if (order > 0) {
-      Row& t = delta_rows[j++];
-      const int64_t count = AsCount(t[layout.count_star_index]);
-      if (count < 0) {
-        throw std::runtime_error(
-            "refresh: delta deletes from non-existent group in view " +
-            view.name());
-      }
-      if (count == 0) continue;  // net no-op for a never-existing group
-      if (layout.has_minmax && layout.Tainted(t)) {
-        recompute_keys.emplace_back(t.begin(),
-                                    t.begin() + layout.num_groups);
-        continue;  // recomputed (and inserted) from base data below
-      }
-      merged.push_back(Row(t.begin(), t.begin() + layout.arity));
-      ++stats.inserted;
-    } else {
-      Row& old_row = old_rows[i++];
-      const Row& t = delta_rows[j++];
-      const int64_t count_after =
-          AsCount(old_row[layout.count_star_index]) +
-          AsCount(t[layout.count_star_index]);
-      if (count_after < 0) {
-        throw std::runtime_error(
-            "refresh: COUNT(*) would go negative in view " + view.name());
-      }
-      if (count_after == 0) {
-        ++stats.deleted;
-        continue;  // drop the group
-      }
-      const bool may_have_deletions =
-          !options.trust_untainted_minmax || layout.Tainted(t);
-      if (may_have_deletions && NeedsRecompute(layout, old_row, t)) {
-        ++stats.minmax_recomputes;
-        recompute_keys.emplace_back(old_row.begin(),
-                                    old_row.begin() + layout.num_groups);
-        merged.push_back(std::move(old_row));  // placeholder; fixed below
-        continue;
-      }
-      UpdateInPlace(layout, old_row, t);
-      merged.push_back(std::move(old_row));
-      ++stats.updated;
-    }
-  }
-
-  Table rebuilt(view.schema(), view.name());
-  rebuilt.Reserve(merged.size());
-  for (Row& r : merged) rebuilt.Insert(std::move(r));
-  view.LoadFrom(rebuilt);
-
-  // Merge always batches MIN/MAX recomputation: the table was already
-  // rewritten wholesale, so per-group scans would have no benefit.
-  stats.recompute_scan_rows += BatchRecompute(catalog, view, recompute_keys,
-                                              &stats);
-  return stats;
-}
-
-}  // namespace
-
-void RefreshStats::EmitTo(obs::MetricsRegistry& metrics) const {
-  metrics.Add("refresh.inserts", inserted);
-  metrics.Add("refresh.deletes", deleted);
-  metrics.Add("refresh.updates", updated);
-  metrics.Add("refresh.recomputed_groups", recomputed_groups);
-  metrics.Add("refresh.recompute_scan_rows", recompute_scan_rows);
-  metrics.Add("refresh.minmax_recomputes", minmax_recomputes);
-  // Shared with propagate's per-operator key tallies, so the warehouse
-  // can derive one batch-wide key.packed_ratio gauge.
-  metrics.Add("key.packed_rows", key_packed_ops);
-  metrics.Add("key.fallback_rows", key_fallback_ops);
-}
-
-RefreshStats Refresh(const rel::Catalog& catalog, SummaryTable& view,
-                     const rel::Table& summary_delta,
-                     const RefreshOptions& options) {
-  const size_t arity = view.schema().NumColumns();
-  const size_t delta_arity = summary_delta.schema().NumColumns();
-  const bool has_taint =
-      summary_delta.schema().IndexOf(kTaintedColumn).has_value();
-  if (delta_arity != arity && !(has_taint && delta_arity == arity + 1)) {
-    throw std::invalid_argument(
-        "summary-delta arity does not match summary table " + view.name());
-  }
-  const uint64_t parent =
-      options.parent_span != 0
-          ? options.parent_span
-          : (options.tracer != nullptr ? options.tracer->CurrentSpan() : 0);
-  obs::TraceSpan span(options.tracer, "refresh.view", parent);
-  span.Attr("view", view.name());
-  span.Attr("strategy",
-            options.strategy == RefreshStrategy::kCursor ? "cursor" : "merge");
-  span.Attr("delta_rows", static_cast<uint64_t>(summary_delta.NumRows()));
-  const uint64_t packed_before = view.packed_key_ops();
-  const uint64_t fallback_before = view.fallback_key_ops();
-  const rel::ProbeStats probes_before = view.probe_stats();
-  RefreshStats stats;
-  switch (options.strategy) {
-    case RefreshStrategy::kCursor:
-      stats = RefreshCursor(catalog, view, summary_delta, options);
-      break;
-    case RefreshStrategy::kMerge:
-      stats = RefreshMerge(catalog, view, summary_delta, options);
-      break;
-  }
   // Fold this refresh's summary-table index traffic into the stats (the
   // dim-lookup and recompute-set probes were already counted inside
   // BatchRecompute).

@@ -9,22 +9,7 @@
 
 namespace sdelta::core {
 
-/// How the summary-delta is applied to the summary table.
-enum class RefreshStrategy {
-  /// The paper's Figure 2/7 embedded-SQL form: a cursor over the
-  /// summary-delta with a keyed lookup per tuple. O(|sd|) hash probes.
-  kCursor,
-  /// The "summary-delta join" the paper argues vendors should build
-  /// (§7): a sort-merge outer join between the summary-delta and the
-  /// summary table that rewrites the table in one pass.
-  kMerge,
-};
-
 struct RefreshOptions {
-  RefreshStrategy strategy = RefreshStrategy::kCursor;
-  /// Collect all groups whose MIN/MAX must be recomputed and recompute
-  /// them in one scan of the base data (true), or scan per group (false).
-  bool batch_minmax_recompute = true;
   /// Figure 7 recomputes a group whenever the delta MIN/MAX ties or
   /// beats the stored one — even for pure insertions, because the delta
   /// cannot tell insertions from deletions. Our summary-deltas carry a
@@ -94,6 +79,9 @@ struct RefreshStats {
 ///                                 -> recompute that group from base data;
 ///  * otherwise                    -> in-place update, with per-expression
 ///    COUNT(e) deciding when SUM/MIN/MAX become NULL.
+///
+/// Groups that need recomputation are collected and recomputed together
+/// in one scan of the base data after the cursor loop.
 ///
 /// PRECONDITION: the catalog's base tables must already reflect the
 /// changes the summary-delta was computed from (the paper's assumption

@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -149,7 +148,10 @@ ReadReplica::ReadReplica(std::string data_dir, warehouse::Warehouse wh,
   metrics_->Add("replica.gap_rejects", 0);
   metrics_->Add("replica.duplicates_skipped", 0);
   metrics_->Add("replica.records_applied", 0);
-  versioned_.Install(BuildEpoch(applied_epoch, nullptr, true));
+  versioned_.Install(service::BuildEpoch(
+      warehouse_, /*prev=*/nullptr, applied_epoch, nullptr,
+      /*dims_changed=*/true, /*full_rebuild=*/true, &obs_,
+      /*build_metrics=*/nullptr));
   EmitGauges();
   if (options_.http_port >= 0) {
     StartHttp(static_cast<uint16_t>(options_.http_port));
@@ -158,51 +160,6 @@ ReadReplica::ReadReplica(std::string data_dir, warehouse::Warehouse wh,
 
 ReadReplica::~ReadReplica() {
   if (http_) http_->Stop();
-}
-
-std::vector<std::string> ReadReplica::FactTableNames() const {
-  std::set<std::string> facts;
-  for (const rel::ForeignKey& fk : warehouse_.catalog().foreign_keys()) {
-    facts.insert(fk.fact_table);
-  }
-  for (const core::AugmentedView& v : warehouse_.vlattice().views) {
-    facts.insert(v.physical.fact_table);
-  }
-  return {facts.begin(), facts.end()};
-}
-
-std::shared_ptr<const service::Epoch> ReadReplica::BuildEpoch(
-    uint64_t number, const std::vector<size_t>* view_delta_rows,
-    bool dims_changed) {
-  const std::shared_ptr<const service::Epoch> prev = versioned_.Current();
-  const lattice::VLattice& wl = warehouse_.vlattice();
-  auto next = std::make_shared<service::Epoch>();
-  next->number = number;
-  next->metrics = metrics_;
-  next->obs = &obs_;
-  next->lattice = prev ? prev->lattice
-                       : std::make_shared<lattice::VLattice>(wl);
-  if (prev && !dims_changed) {
-    next->catalog = prev->catalog;
-  } else {
-    next->catalog =
-        service::MakeReaderCatalog(warehouse_.catalog(), FactTableNames());
-  }
-  const bool can_share = prev && view_delta_rows &&
-                         view_delta_rows->size() == wl.views.size() &&
-                         prev->views.size() == wl.views.size();
-  next->views.reserve(wl.views.size());
-  for (size_t i = 0; i < wl.views.size(); ++i) {
-    if (can_share && (*view_delta_rows)[i] == 0) {
-      next->views.push_back(prev->views[i]);
-      continue;
-    }
-    auto copy = std::make_shared<core::SummaryTable>(wl.views[i],
-                                                     *next->catalog);
-    copy->LoadFrom(warehouse_.summary(wl.views[i].physical.name).ToTable());
-    next->views.push_back(std::move(copy));
-  }
-  return next;
 }
 
 ReadReplica::CatchupReport ReadReplica::Catchup() {
@@ -248,7 +205,10 @@ ReadReplica::CatchupReport ReadReplica::Catchup() {
     for (size_t v = 0; v < batch.views.size(); ++v) {
       delta_rows[v] = batch.views[v].delta_rows;
     }
-    versioned_.Install(BuildEpoch(rec.epoch, &delta_rows, dims_changed));
+    versioned_.Install(service::BuildEpoch(
+        warehouse_, versioned_.Current(), rec.epoch, &delta_rows,
+        dims_changed, /*full_rebuild=*/false, &obs_,
+        /*build_metrics=*/nullptr));
     applied_epoch_.store(rec.epoch);
     applied_seq_.store(rec.last_seq);
     cursor_.store(fetch.next_cursor);

@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <set>
 #include <stdexcept>
 
 #include "core/maintenance.h"
@@ -242,7 +241,7 @@ WarehouseService::WarehouseService(
     }
     epoch_base_ = options_.ship->MaxEpoch();
   }
-  versioned_.Install(BuildEpoch(nullptr, true, true));
+  versioned_.Install(NextEpoch(nullptr, true, true));
   // Set before the thread spawns so a /healthz scrape racing startup
   // never reports a dead maintenance thread; MaintenanceLoop clears it
   // on exit.
@@ -260,54 +259,16 @@ WarehouseService::WarehouseService(
 
 WarehouseService::~WarehouseService() { Stop(); }
 
-std::vector<std::string> WarehouseService::FactTableNames() const {
-  std::set<std::string> facts;
-  for (const rel::ForeignKey& fk : warehouse_.catalog().foreign_keys()) {
-    facts.insert(fk.fact_table);
-  }
-  for (const core::AugmentedView& v : warehouse_.vlattice().views) {
-    facts.insert(v.physical.fact_table);
-  }
-  return {facts.begin(), facts.end()};
-}
-
-std::shared_ptr<const Epoch> WarehouseService::BuildEpoch(
+std::shared_ptr<const Epoch> WarehouseService::NextEpoch(
     const std::vector<size_t>* view_delta_rows, bool dims_changed,
     bool full_rebuild) {
   const std::shared_ptr<const Epoch> prev = versioned_.Current();
-  const lattice::VLattice& wl = warehouse_.vlattice();
-  auto next = std::make_shared<Epoch>();
-  next->number = prev ? prev->number + 1 : epoch_base_ + 1;
-  next->metrics = metrics_;
-  next->obs = &obs_;
-  if (!full_rebuild && prev) {
-    next->lattice = prev->lattice;
-  } else {
-    next->lattice = std::make_shared<lattice::VLattice>(wl);
-  }
-  if (!full_rebuild && prev && !dims_changed) {
-    next->catalog = prev->catalog;
-  } else {
-    next->catalog = MakeReaderCatalog(warehouse_.catalog(), FactTableNames());
-  }
-  const bool can_share = !full_rebuild && prev && view_delta_rows &&
-                         view_delta_rows->size() == wl.views.size() &&
-                         prev->views.size() == wl.views.size();
-  next->views.reserve(wl.views.size());
-  for (size_t i = 0; i < wl.views.size(); ++i) {
-    if (can_share && (*view_delta_rows)[i] == 0) {
-      next->views.push_back(prev->views[i]);
-      metrics_->Add("service.epoch_views_shared");
-      continue;
-    }
-    auto copy =
-        std::make_shared<core::SummaryTable>(wl.views[i], *next->catalog);
-    copy->LoadFrom(warehouse_.summary(wl.views[i].physical.name).ToTable());
-    next->views.push_back(std::move(copy));
-    metrics_->Add("service.epoch_views_rebuilt");
-  }
-  metrics_->Set("service.epoch", static_cast<double>(next->number));
-  metrics_->Set("writer.installed_epoch", static_cast<double>(next->number));
+  const uint64_t number = prev ? prev->number + 1 : epoch_base_ + 1;
+  std::shared_ptr<const Epoch> next =
+      BuildEpoch(warehouse_, prev, number, view_delta_rows, dims_changed,
+                 full_rebuild, &obs_, metrics_);
+  metrics_->Set("service.epoch", static_cast<double>(number));
+  metrics_->Set("writer.installed_epoch", static_cast<double>(number));
   return next;
 }
 
@@ -454,7 +415,7 @@ void WarehouseService::ApplyItems(std::vector<IngestItem> items) {
   slo_.ObserveStaleness(staleness);
 
   std::shared_ptr<const Epoch> next =
-      BuildEpoch(&delta_rows, dims_changed, /*full_rebuild=*/false);
+      NextEpoch(&delta_rows, dims_changed, /*full_rebuild=*/false);
   const uint64_t epoch_number = next->number;
   double window = 0;
   {
@@ -616,7 +577,7 @@ void WarehouseService::WithWriter(
   fn(warehouse_);
   // DDL may have changed the lattice, plans, and summary schemas:
   // readers get a fully fresh epoch.
-  versioned_.Install(BuildEpoch(nullptr, true, /*full_rebuild=*/true));
+  versioned_.Install(NextEpoch(nullptr, true, /*full_rebuild=*/true));
 }
 
 WarehouseService::Stats WarehouseService::GetStats() const {

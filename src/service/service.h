@@ -235,13 +235,10 @@ class WarehouseService {
                    uint64_t start_seq,
                    std::vector<replica::ShipRecord> replay_ships);
 
-  /// Builds the next epoch from the warehouse's current summaries.
-  /// `view_delta_rows` (nullable, parallel to vlattice().views) enables
-  /// per-view sharing: views whose batch delta_rows == 0 reuse the
-  /// previous epoch's table; the reader catalog is recopied only when
-  /// `dims_changed`. `full_rebuild` forces everything fresh (DDL,
-  /// initial epoch).
-  std::shared_ptr<const Epoch> BuildEpoch(
+  /// Numbers and builds the next epoch (service::BuildEpoch, with the
+  /// service's sharing counters) and sets the service.epoch and
+  /// writer.installed_epoch gauges.
+  std::shared_ptr<const Epoch> NextEpoch(
       const std::vector<size_t>* view_delta_rows, bool dims_changed,
       bool full_rebuild);
 
@@ -255,8 +252,6 @@ class WarehouseService {
   void StartHttp(uint16_t port);
   /// The effective configuration, as a flight-bundle artifact.
   obs::Json ConfigJson() const;
-
-  std::vector<std::string> FactTableNames() const;
 
   const std::string data_dir_;
   const Options options_;

@@ -1,6 +1,7 @@
 #include "service/versioned.h"
 
 #include <algorithm>
+#include <set>
 #include <stdexcept>
 
 #include "core/maintenance.h"
@@ -124,6 +125,66 @@ std::shared_ptr<const rel::Catalog> MakeReaderCatalog(
     out->DeclareFunctionalDependency(fd.table, fd.determinant, fd.dependent);
   }
   return out;
+}
+
+namespace {
+
+/// Tables read as facts: every FK's referencing table plus every view's
+/// fact table. The reader catalog holds these schema-only.
+std::vector<std::string> FactTableNames(const warehouse::Warehouse& wh) {
+  std::set<std::string> facts;
+  for (const rel::ForeignKey& fk : wh.catalog().foreign_keys()) {
+    facts.insert(fk.fact_table);
+  }
+  for (const core::AugmentedView& v : wh.vlattice().views) {
+    facts.insert(v.physical.fact_table);
+  }
+  return {facts.begin(), facts.end()};
+}
+
+}  // namespace
+
+std::shared_ptr<const Epoch> BuildEpoch(
+    const warehouse::Warehouse& wh, const std::shared_ptr<const Epoch>& prev,
+    uint64_t number, const std::vector<size_t>* view_delta_rows,
+    bool dims_changed, bool full_rebuild, ServiceObs* service_obs,
+    obs::MetricsRegistry* build_metrics) {
+  const lattice::VLattice& wl = wh.vlattice();
+  auto next = std::make_shared<Epoch>();
+  next->number = number;
+  next->metrics = service_obs != nullptr ? service_obs->metrics : nullptr;
+  next->obs = service_obs;
+  if (!full_rebuild && prev) {
+    next->lattice = prev->lattice;
+  } else {
+    next->lattice = std::make_shared<lattice::VLattice>(wl);
+  }
+  if (!full_rebuild && prev && !dims_changed) {
+    next->catalog = prev->catalog;
+  } else {
+    next->catalog = MakeReaderCatalog(wh.catalog(), FactTableNames(wh));
+  }
+  const bool can_share = !full_rebuild && prev && view_delta_rows &&
+                         view_delta_rows->size() == wl.views.size() &&
+                         prev->views.size() == wl.views.size();
+  next->views.reserve(wl.views.size());
+  for (size_t i = 0; i < wl.views.size(); ++i) {
+    if (can_share && (*view_delta_rows)[i] == 0) {
+      next->views.push_back(prev->views[i]);
+      if (build_metrics != nullptr) {
+        build_metrics->Add("service.epoch_views_shared");
+      }
+      continue;
+    }
+    auto copy =
+        std::make_shared<core::SummaryTable>(wl.views[i], *next->catalog);
+    copy->LoadFrom(wh.summary(wl.views[i].physical.name).ToTable());
+    next->views.push_back(std::move(copy));
+    if (build_metrics != nullptr) {
+      build_metrics->Add("service.epoch_views_rebuilt");
+    }
+  }
+  return next;
 }
 
 }  // namespace sdelta::service

@@ -14,6 +14,7 @@
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "relational/catalog.h"
+#include "warehouse/warehouse.h"
 
 namespace sdelta::service {
 
@@ -111,6 +112,21 @@ class VersionedTables {
 /// and gives readers join inputs consistent with the epoch.
 std::shared_ptr<const rel::Catalog> MakeReaderCatalog(
     const rel::Catalog& writer, const std::vector<std::string>& fact_tables);
+
+/// Builds epoch `number`, the successor of `prev` (null for the first
+/// epoch), from the warehouse's current summaries. `view_delta_rows`
+/// (nullable, parallel to wh.vlattice().views) enables per-view sharing:
+/// views whose batch delta_rows == 0 reuse `prev`'s table; the reader
+/// catalog is recopied only when `dims_changed`. `full_rebuild` forces
+/// everything fresh (DDL, initial epoch). `service_obs` (nullable) is
+/// stamped into the epoch for reader-side accounting. `build_metrics`
+/// (nullable) counts service.epoch_views_shared and
+/// service.epoch_views_rebuilt.
+std::shared_ptr<const Epoch> BuildEpoch(
+    const warehouse::Warehouse& wh, const std::shared_ptr<const Epoch>& prev,
+    uint64_t number, const std::vector<size_t>* view_delta_rows,
+    bool dims_changed, bool full_rebuild, ServiceObs* service_obs,
+    obs::MetricsRegistry* build_metrics);
 
 }  // namespace sdelta::service
 

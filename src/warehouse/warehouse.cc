@@ -183,7 +183,6 @@ BatchReport Warehouse::RunBatch(const core::ChangeSet& changes) {
   // delta over this batch.
   const uint64_t scanned0 = m.counter("propagate.rows_scanned");
   const uint64_t delta0 = m.counter("propagate.delta_rows");
-  const uint64_t preagg0 = m.counter("propagate.preaggregated");
 
   obs::TraceSpan batch(tracer, "warehouse.RunBatch");
   BatchReport report;
@@ -240,8 +239,6 @@ BatchReport Warehouse::RunBatch(const core::ChangeSet& changes) {
   report.propagate.prepared_tuples =
       m.counter("propagate.rows_scanned") - scanned0;
   report.propagate.delta_groups = m.counter("propagate.delta_rows") - delta0;
-  report.propagate.preaggregated =
-      m.counter("propagate.preaggregated") > preagg0;
   m.Observe("batch.maintenance_seconds", report.maintenance_seconds());
   // Batch-wide key-encoding health: share of key operations that took
   // the packed fast path (100% on the retail schema), and the total

@@ -80,28 +80,6 @@ TEST(MaintenanceTest, AllFourRetailViewsInsertionGenerating) {
       });
 }
 
-TEST(MaintenanceTest, RetailViewsMergeRefresh) {
-  RefreshOptions merge;
-  merge.strategy = RefreshStrategy::kMerge;
-  ExpectMaintainedEqualsRecomputed(
-      &SmallRetail, warehouse::RetailSummaryTables(),
-      [](const rel::Catalog& cat) {
-        return warehouse::MakeUpdateGeneratingChanges(cat, 200, 13);
-      },
-      merge);
-}
-
-TEST(MaintenanceTest, RetailViewsPreaggregatedPropagate) {
-  PropagateOptions popts;
-  popts.preaggregate = true;
-  ExpectMaintainedEqualsRecomputed(
-      &SmallRetail, warehouse::RetailSummaryTables(),
-      [](const rel::Catalog& cat) {
-        return warehouse::MakeUpdateGeneratingChanges(cat, 200, 14);
-      },
-      RefreshOptions{}, popts);
-}
-
 TEST(MaintenanceTest, ConsecutiveBatches) {
   // Three consecutive batch windows; state must track the oracle
   // throughout (deltas composed across batches).

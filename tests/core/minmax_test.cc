@@ -193,23 +193,25 @@ TEST(MinMaxTest, TaintedGroupStillRecomputesInDefaultMode) {
   EXPECT_EQ((*row)[st.schema().Resolve("LatestSale")].as_int64(), 9);
 }
 
-TEST(MinMaxTest, PerGroupRecomputeMatchesBatched) {
-  auto make_changes = [](const rel::Catalog& cat) {
-    ChangeSet changes = EmptyChanges(cat);
-    changes.fact.deletions.Insert(PosRow(2, 20, 2, 1));
-    changes.fact.deletions.Insert(PosRow(1, 10, 1, 5));
-    changes.fact.insertions.Insert(PosRow(1, 20, 1, 3));
-    return changes;
-  };
-  ViewDef v = SicView(TinyCatalog()).physical;
+TEST(MinMaxTest, RecomputedGroupsShareOneBaseScan) {
+  rel::Catalog c = TinyCatalog();
+  AugmentedView av = SicView(c);
+  SummaryTable st(av, c);
+  st.MaterializeFrom(c);
 
-  RefreshOptions per_group;
-  per_group.batch_minmax_recompute = false;
-  sdelta::testing::ExpectMaintainedEqualsRecomputed(&TinyCatalog, {v},
-                                                    make_changes, per_group);
-  sdelta::testing::ExpectMaintainedEqualsRecomputed(&TinyCatalog, {v},
-                                                    make_changes,
-                                                    RefreshOptions{});
+  // Deleting the minima of (2, toys) and (1, food) forces two MIN
+  // recomputes; both are served by a single scan of pos.
+  ChangeSet changes = EmptyChanges(c);
+  changes.fact.deletions.Insert(PosRow(2, 20, 2, 1));
+  changes.fact.deletions.Insert(PosRow(1, 10, 1, 5));
+  changes.fact.insertions.Insert(PosRow(1, 20, 1, 3));
+  RefreshStats stats = Cycle(c, st, changes);
+  EXPECT_EQ(stats.recomputed_groups, 2u);
+  EXPECT_EQ(stats.minmax_recomputes, 2u);
+  // |pos| after the batch is 5: one scan, not one per group.
+  ASSERT_EQ(c.GetTable("pos").NumRows(), 5u);
+  EXPECT_EQ(stats.recompute_scan_rows, 5u);
+  sdelta::testing::ExpectBagEq(EvaluateView(c, av.physical), st.ToTable());
 }
 
 TEST(MinMaxTest, GroupVanishesEntirely) {
@@ -228,24 +230,6 @@ TEST(MinMaxTest, GroupVanishesEntirely) {
   EXPECT_EQ(stats.recomputed_groups, 0u);
   EXPECT_EQ(st.NumRows(), before - 1);
   EXPECT_EQ(st.Find({Value::Int64(2), Value::String("toys")}), nullptr);
-}
-
-TEST(MinMaxTest, MergeStrategyRecomputesToo) {
-  rel::Catalog c = TinyCatalog();
-  AugmentedView av = SicView(c);
-  SummaryTable st(av, c);
-  st.MaterializeFrom(c);
-
-  ChangeSet changes = EmptyChanges(c);
-  changes.fact.deletions.Insert(PosRow(2, 20, 2, 1));
-  RefreshOptions ropts;
-  ropts.strategy = RefreshStrategy::kMerge;
-  RefreshStats stats = Cycle(c, st, changes, ropts);
-  EXPECT_EQ(stats.recomputed_groups, 1u);
-  EXPECT_EQ(stats.minmax_recomputes, 1u);
-  const rel::Row* row = st.Find({Value::Int64(2), Value::String("toys")});
-  ASSERT_NE(row, nullptr);
-  EXPECT_EQ((*row)[st.schema().Resolve("EarliestSale")].as_int64(), 3);
 }
 
 }  // namespace

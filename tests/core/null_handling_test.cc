@@ -150,10 +150,6 @@ TEST(NullHandlingTest, MixedNullBatchesMatchOracle) {
   sdelta::testing::ExpectMaintainedEqualsRecomputed(make_catalog,
                                                     {NullableView()},
                                                     make_changes);
-  RefreshOptions merge;
-  merge.strategy = RefreshStrategy::kMerge;
-  sdelta::testing::ExpectMaintainedEqualsRecomputed(
-      make_catalog, {NullableView()}, make_changes, merge);
 }
 
 TEST(NullHandlingTest, NewGroupWithOnlyNullValues) {

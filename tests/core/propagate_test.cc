@@ -11,7 +11,6 @@ namespace {
 using rel::Expression;
 using rel::Table;
 using rel::Value;
-using sdelta::testing::ExpectBagEq;
 using sdelta::testing::PosRow;
 using sdelta::testing::TinyCatalog;
 
@@ -111,68 +110,6 @@ TEST(PropagateTest, EmptyChangesYieldEmptyDelta) {
   changes.fact = DeltaSet(c.GetTable("pos").schema());
   Table sd = ComputeSummaryDelta(c, SidView(c), changes);
   EXPECT_EQ(sd.NumRows(), 0u);
-}
-
-TEST(PropagateTest, PreaggregationMatchesDirect) {
-  rel::Catalog c = TinyCatalog();
-  AugmentedView v = ScdView(c);
-  const ChangeSet changes = SmallChanges(c);
-
-  PropagateStats direct_stats;
-  Table direct = ComputeSummaryDelta(c, v, changes, {}, &direct_stats);
-  EXPECT_FALSE(direct_stats.preaggregated);
-
-  PropagateOptions popts;
-  popts.preaggregate = true;
-  PropagateStats pre_stats;
-  Table pre = ComputeSummaryDelta(c, v, changes, popts, &pre_stats);
-  EXPECT_TRUE(pre_stats.preaggregated);
-  ExpectBagEq(direct, pre);
-}
-
-TEST(PropagateTest, PreaggregationSkippedWithoutJoins) {
-  rel::Catalog c = TinyCatalog();
-  PropagateOptions popts;
-  popts.preaggregate = true;
-  PropagateStats stats;
-  ComputeSummaryDelta(c, SidView(c), SmallChanges(c), popts, &stats);
-  EXPECT_FALSE(stats.preaggregated);  // nothing to pre-aggregate past
-}
-
-TEST(PropagateTest, PreaggregationSkippedWithDimensionChanges) {
-  rel::Catalog c = TinyCatalog();
-  ChangeSet changes = SmallChanges(c);
-  DeltaSet items_delta(c.GetTable("items").schema());
-  items_delta.insertions.Insert({Value::Int64(30), Value::String("new")});
-  changes.dimensions.emplace("items", std::move(items_delta));
-
-  PropagateOptions popts;
-  popts.preaggregate = true;
-  PropagateStats stats;
-  ComputeSummaryDelta(c, ScdView(c), changes, popts, &stats);
-  EXPECT_FALSE(stats.preaggregated);
-}
-
-TEST(PropagateTest, PreaggregationMinOverFactColumn) {
-  // MIN(date) with date also a fact group-level column exercises the
-  // two-level MIN-of-MIN reaggregation.
-  rel::Catalog c = TinyCatalog();
-  ViewDef v;
-  v.name = "SiC_sales";
-  v.fact_table = "pos";
-  v.joins = {DimensionJoin{"items", "itemID", "itemID"}};
-  v.group_by = {"storeID", "category"};
-  v.aggregates = {rel::CountStar("TotalCount"),
-                  rel::Min(Expression::Column("date"), "EarliestSale"),
-                  rel::Sum(Expression::Column("qty"), "TotalQuantity")};
-  AugmentedView av = AugmentForSelfMaintenance(c, v);
-  const ChangeSet changes = SmallChanges(c);
-
-  Table direct = ComputeSummaryDelta(c, av, changes, {});
-  PropagateOptions popts;
-  popts.preaggregate = true;
-  Table pre = ComputeSummaryDelta(c, av, changes, popts);
-  ExpectBagEq(direct, pre);
 }
 
 TEST(DeltaAggregatesTest, CountBecomesSumMinStaysMin) {

@@ -28,11 +28,11 @@ AugmentedView SidView(const rel::Catalog& c) {
 }
 
 /// Runs one full cycle for a view and returns the refresh stats.
-RefreshStats Cycle(rel::Catalog& c, SummaryTable& st, const ChangeSet& changes,
-                   const RefreshOptions& ropts = {}) {
+RefreshStats Cycle(rel::Catalog& c, SummaryTable& st,
+                   const ChangeSet& changes) {
   Table sd = ComputeSummaryDelta(c, st.def(), changes);
   ApplyChangeSet(c, changes);
-  return Refresh(c, st, sd, ropts);
+  return Refresh(c, st, sd);
 }
 
 ChangeSet EmptyChanges(const rel::Catalog& c) {
@@ -128,7 +128,7 @@ TEST(RefreshTest, ArityMismatchThrows) {
   EXPECT_THROW(Refresh(c, st, Table(bad)), std::invalid_argument);
 }
 
-TEST(RefreshTest, MergeStrategyMatchesCursor) {
+TEST(RefreshTest, MixedDeltaMatchesRecompute) {
   auto make_changes = [](const rel::Catalog& cat) {
     ChangeSet changes = EmptyChanges(cat);
     changes.fact.insertions.Insert(PosRow(9, 10, 1, 4));
@@ -144,29 +144,8 @@ TEST(RefreshTest, MergeStrategyMatchesCursor) {
   v.aggregates = {rel::CountStar("TotalCount"),
                   rel::Sum(Expression::Column("qty"), "TotalQuantity")};
 
-  RefreshOptions merge;
-  merge.strategy = RefreshStrategy::kMerge;
   sdelta::testing::ExpectMaintainedEqualsRecomputed(&TinyCatalog, {v},
-                                                    make_changes, merge);
-  sdelta::testing::ExpectMaintainedEqualsRecomputed(&TinyCatalog, {v},
-                                                    make_changes,
-                                                    RefreshOptions{});
-}
-
-TEST(RefreshTest, MergeStrategyStats) {
-  rel::Catalog c = TinyCatalog();
-  AugmentedView av = SidView(c);
-  SummaryTable st(av, c);
-  st.MaterializeFrom(c);
-  ChangeSet changes = EmptyChanges(c);
-  changes.fact.insertions.Insert(PosRow(9, 10, 1, 4));
-  changes.fact.deletions.Insert(PosRow(1, 20, 2, 2));
-  RefreshOptions ropts;
-  ropts.strategy = RefreshStrategy::kMerge;
-  RefreshStats stats = Cycle(c, st, changes, ropts);
-  EXPECT_EQ(stats.inserted, 1u);
-  EXPECT_EQ(stats.deleted, 1u);
-  EXPECT_EQ(stats.updated, 0u);
+                                                    make_changes);
 }
 
 TEST(RefreshTest, SummaryDeltaOfPureInsertionsOnlyInsertsOrUpdates) {

@@ -331,7 +331,6 @@ TEST(DeterminismTest, PropagateOnlyStatsMatchAcrossThreadCounts) {
   four.wh.PropagateOnly(four_changes, &s4);
   EXPECT_EQ(s1.prepared_tuples, s4.prepared_tuples);
   EXPECT_EQ(s1.delta_groups, s4.delta_groups);
-  EXPECT_EQ(s1.preaggregated, s4.preaggregated);
 }
 
 }  // namespace

@@ -23,9 +23,7 @@ namespace sdelta::testing {
 inline void ExpectMaintainedEqualsRecomputed(
     const std::function<rel::Catalog()>& make_catalog,
     const std::vector<core::ViewDef>& views,
-    const std::function<core::ChangeSet(const rel::Catalog&)>& make_changes,
-    const core::RefreshOptions& ropts = {},
-    const core::PropagateOptions& popts = {}) {
+    const std::function<core::ChangeSet(const rel::Catalog&)>& make_changes) {
   rel::Catalog catalog = make_catalog();
   std::vector<core::AugmentedView> augmented;
   std::vector<core::SummaryTable> summaries;
@@ -39,11 +37,11 @@ inline void ExpectMaintainedEqualsRecomputed(
   // Propagate against the pre-change state, then enter the batch window.
   std::vector<rel::Table> deltas;
   for (const core::AugmentedView& av : augmented) {
-    deltas.push_back(core::ComputeSummaryDelta(catalog, av, changes, popts));
+    deltas.push_back(core::ComputeSummaryDelta(catalog, av, changes));
   }
   core::ApplyChangeSet(catalog, changes);
   for (size_t i = 0; i < summaries.size(); ++i) {
-    core::Refresh(catalog, summaries[i], deltas[i], ropts);
+    core::Refresh(catalog, summaries[i], deltas[i]);
   }
 
   // Oracle: recompute from a fresh catalog with the same changes applied.

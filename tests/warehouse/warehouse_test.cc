@@ -136,18 +136,6 @@ TEST(WarehouseTest, RematerializeAllMatchesMaintained) {
   }
 }
 
-TEST(WarehouseTest, MergeRefreshOption) {
-  Warehouse::Options opts;
-  opts.refresh.strategy = core::RefreshStrategy::kMerge;
-  Warehouse wh = MakeWarehouse(opts);
-  wh.RunBatch(MakeUpdateGeneratingChanges(wh.catalog(), 200, 66));
-  for (const core::AugmentedView& av : wh.vlattice().views) {
-    SCOPED_TRACE(av.name());
-    ExpectBagEq(core::EvaluateView(wh.catalog(), av.physical),
-                wh.summary(av.name()).ToTable());
-  }
-}
-
 TEST(WarehouseTest, LogicalTableHidesAugmentation) {
   Warehouse wh = MakeWarehouse();
   const rel::Table logical = wh.summary("SiC_sales").ToLogicalTable();
