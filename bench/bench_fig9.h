@@ -88,9 +88,9 @@ inline void RegisterFig9(const std::string& panel, bool sweep_changes,
   };
 
   // The serial baselines share the "ro"/"mut" cache entries with the
-  // t=1 engine series, so both must request the same options.
-  warehouse::Warehouse::Options serial_options;
-  serial_options.num_threads = 1;
+  // t=1 engine series, so both must request the same (default, serial)
+  // options.
+  const warehouse::Warehouse::Options serial_options;
 
   for (size_t threads : thread_counts) {
     warehouse::Warehouse::Options wh_options;

@@ -27,34 +27,34 @@ void ApplyChangeSet(rel::Catalog& catalog, const ChangeSet& changes) {
 
 MaintenanceReport MaintainView(rel::Catalog& catalog, SummaryTable& view,
                                const ChangeSet& changes,
-                               const PropagateOptions& popts,
-                               const RefreshOptions& ropts) {
+                               const RefreshOptions& ropts,
+                               const exec::Context& ctx) {
   MaintenanceReport report;
   report.view = view.name();
-  obs::TraceSpan span(popts.tracer, "maintain.view");
+  obs::TraceSpan span(ctx.tracer, "maintain.view");
   span.Attr("view", view.name());
 
   // Propagate runs against the pre-change base state, outside the batch
   // window (summary tables stay readable).
   Stopwatch sw;
-  rel::Table sd = ComputeSummaryDelta(catalog, view.def(), changes, popts,
+  rel::Table sd = ComputeSummaryDelta(catalog, view.def(), changes, ctx,
                                       &report.propagate);
   report.propagate_seconds = sw.ElapsedSeconds();
 
   // The batch window: apply the changes to the base tables, then refresh
   // the summary table from the summary-delta.
   {
-    obs::TraceSpan apply(popts.tracer, "maintain.apply_base");
+    obs::TraceSpan apply(ctx.tracer, "maintain.apply_base");
     ApplyChangeSet(catalog, changes);
   }
 
   sw.Reset();
-  report.refresh = Refresh(catalog, view, sd, ropts);
+  report.refresh = Refresh(catalog, view, sd, ropts, ctx);
   report.refresh_seconds = sw.ElapsedSeconds();
-  if (popts.metrics != nullptr) {
-    popts.metrics->Observe("maintain.propagate_seconds",
+  if (ctx.metrics != nullptr) {
+    ctx.metrics->Observe("maintain.propagate_seconds",
                            report.propagate_seconds);
-    popts.metrics->Observe("maintain.refresh_seconds",
+    ctx.metrics->Observe("maintain.refresh_seconds",
                            report.refresh_seconds);
   }
   return report;

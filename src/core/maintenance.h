@@ -45,8 +45,8 @@ struct MaintenanceReport {
 /// `catalog` is mutated (the change set is applied to the base tables).
 MaintenanceReport MaintainView(rel::Catalog& catalog, SummaryTable& view,
                                const ChangeSet& changes,
-                               const PropagateOptions& popts = {},
-                               const RefreshOptions& ropts = {});
+                               const RefreshOptions& ropts = {},
+                               const exec::Context& ctx = {});
 
 }  // namespace sdelta::core
 

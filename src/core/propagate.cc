@@ -84,12 +84,13 @@ rel::AggregateSpec TaintFromSources(const AugmentedView& view) {
 rel::Table ComputeSummaryDelta(const rel::Catalog& catalog,
                                const AugmentedView& view,
                                const ChangeSet& changes,
-                               const PropagateOptions& options,
-                               PropagateStats* stats) {
-  obs::TraceSpan span(options.tracer, "sd.compute");
+                               const exec::Context& ctx,
+                               PropagateStats* stats,
+                               size_t delta_size_hint) {
+  obs::TraceSpan span(ctx.tracer, "sd.compute");
   span.Attr("view", view.name());
   PropagateStats local;
-  Table pc = PrepareChanges(catalog, view, changes, options.pool, &local.ops);
+  Table pc = PrepareChanges(catalog, view, changes, ctx.pool, &local.ops);
   local.prepared_tuples = pc.NumRows();
   std::vector<rel::GroupByColumn> groups;
   for (const std::string& g : view.physical.group_by) {
@@ -97,13 +98,13 @@ rel::Table ComputeSummaryDelta(const rel::Catalog& catalog,
   }
   std::vector<rel::AggregateSpec> specs = DeltaAggregates(view);
   specs.push_back(TaintFromSources(view));
-  Table out = rel::GroupBy(pc, groups, specs, options.pool, &local.ops,
-                           options.delta_size_hint);
+  Table out = rel::GroupBy(pc, groups, specs, ctx.pool, &local.ops,
+                           delta_size_hint);
   out.SetName("sd_" + view.name());
   local.delta_groups = out.NumRows();
   span.Attr("prepared_tuples", static_cast<uint64_t>(local.prepared_tuples));
   span.Attr("delta_rows", static_cast<uint64_t>(local.delta_groups));
-  if (options.metrics != nullptr) local.EmitTo(*options.metrics);
+  if (ctx.metrics != nullptr) local.EmitTo(*ctx.metrics);
   if (stats != nullptr) *stats = local;
   return out;
 }

@@ -7,27 +7,12 @@
 #include "core/delta.h"
 #include "core/self_maintenance.h"
 #include "core/view_def.h"
+#include "exec/context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "relational/operators.h"
 
 namespace sdelta::core {
-
-struct PropagateOptions {
-  /// Observability sinks (see src/obs/). Null = disabled; every
-  /// instrumentation site is behind a single null check.
-  obs::Tracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Thread pool for morsel-driven operators and wave-scheduled lattice
-  /// propagation. Null = the exact serial path (results are identical
-  /// either way; see operators.h for the determinism contract).
-  exec::ThreadPool* pool = nullptr;
-  /// Expected number of summary-delta groups (a §5.5 cardinality
-  /// estimate), used to pre-size the final GroupBy's hash table so the
-  /// propagate fan-out never rehashes mid-batch. 0 = no hint. Capacity
-  /// only — results are identical with or without it.
-  size_t delta_size_hint = 0;
-};
 
 struct PropagateStats {
   size_t prepared_tuples = 0;  ///< rows in the prepare-changes relation
@@ -57,11 +42,17 @@ inline constexpr char kTaintedColumn[] = "__sd_has_deletion";
 /// the signed sources. The result has the summary table's schema plus
 /// the trailing kTaintedColumn, where each aggregate column holds the
 /// *net change* for its group.
+///
+/// `delta_size_hint` is the expected number of summary-delta groups (a
+/// §5.5 cardinality estimate); it pre-sizes the final GroupBy's hash
+/// table so the propagate fan-out never rehashes mid-batch. 0 = no hint.
+/// Capacity only: results are identical with or without it.
 rel::Table ComputeSummaryDelta(const rel::Catalog& catalog,
                                const AugmentedView& view,
                                const ChangeSet& changes,
-                               const PropagateOptions& options = {},
-                               PropagateStats* stats = nullptr);
+                               const exec::Context& ctx = {},
+                               PropagateStats* stats = nullptr,
+                               size_t delta_size_hint = 0);
 
 /// The delta-style aggregation specs for a view's physical aggregates:
 /// COUNT(*)/COUNT/SUM become SUM over the source column of the same

@@ -6,6 +6,7 @@
 
 #include "core/propagate.h"
 #include "core/view_def.h"
+#include "obs/trace.h"
 #include "relational/flat_hash.h"
 #include "relational/group_key.h"
 #include "relational/operators.h"
@@ -386,7 +387,8 @@ void RefreshStats::EmitTo(obs::MetricsRegistry& metrics) const {
 
 RefreshStats Refresh(const rel::Catalog& catalog, SummaryTable& view,
                      const rel::Table& summary_delta,
-                     const RefreshOptions& options) {
+                     const RefreshOptions& options,
+                     const exec::Context& ctx) {
   const size_t arity = view.schema().NumColumns();
   const size_t delta_arity = summary_delta.schema().NumColumns();
   const bool has_taint =
@@ -395,11 +397,7 @@ RefreshStats Refresh(const rel::Catalog& catalog, SummaryTable& view,
     throw std::invalid_argument(
         "summary-delta arity does not match summary table " + view.name());
   }
-  const uint64_t parent =
-      options.parent_span != 0
-          ? options.parent_span
-          : (options.tracer != nullptr ? options.tracer->CurrentSpan() : 0);
-  obs::TraceSpan span(options.tracer, "refresh.view", parent);
+  obs::TraceSpan span(ctx.tracer, "refresh.view");
   span.Attr("view", view.name());
   span.Attr("delta_rows", static_cast<uint64_t>(summary_delta.NumRows()));
   const uint64_t packed_before = view.packed_key_ops();
@@ -470,12 +468,12 @@ RefreshStats Refresh(const rel::Catalog& catalog, SummaryTable& view,
   // BatchRecompute).
   stats.key_packed_ops += view.packed_key_ops() - packed_before;
   stats.key_fallback_ops += view.fallback_key_ops() - fallback_before;
-  if (options.metrics != nullptr) {
+  if (ctx.metrics != nullptr) {
     const rel::ProbeStats probes_after = view.probe_stats();
     const uint64_t ops = probes_after.ops - probes_before.ops;
     if (ops > 0) {
       const uint64_t steps = probes_after.steps - probes_before.steps;
-      options.metrics->Observe(
+      ctx.metrics->Observe(
           "hash.probe_len",
           static_cast<double>(steps) / static_cast<double>(ops));
     }
@@ -485,7 +483,7 @@ RefreshStats Refresh(const rel::Catalog& catalog, SummaryTable& view,
   span.Attr("deleted", static_cast<uint64_t>(stats.deleted));
   span.Attr("minmax_recomputes",
             static_cast<uint64_t>(stats.minmax_recomputes));
-  if (options.metrics != nullptr) stats.EmitTo(*options.metrics);
+  if (ctx.metrics != nullptr) stats.EmitTo(*ctx.metrics);
   return stats;
 }
 

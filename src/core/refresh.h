@@ -2,8 +2,8 @@
 #define SDELTA_CORE_REFRESH_H_
 
 #include "core/summary_table.h"
+#include "exec/context.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "relational/catalog.h"
 #include "relational/table.h"
 
@@ -20,14 +20,6 @@ struct RefreshOptions {
   /// behaviour (deltas without the marker are always treated as
   /// potentially containing deletions).
   bool trust_untainted_minmax = true;
-  /// Observability sinks (see src/obs/). Null = disabled.
-  obs::Tracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Explicit parent for the refresh.view span. 0 = the caller thread's
-  /// innermost open span. The warehouse sets this when it fans refreshes
-  /// out across pool workers, whose open-span stacks are empty — the
-  /// span still parents on the batch's refresh phase.
-  uint64_t parent_span = 0;
 };
 
 struct RefreshStats {
@@ -88,9 +80,13 @@ struct RefreshStats {
 /// for MIN/MAX recomputation). Throws std::runtime_error on deltas that
 /// are inconsistent with the summary table (e.g. a deletion for a group
 /// that does not exist).
+///
+/// The refresh.view span parents on the calling thread's innermost open
+/// span; `ctx.pool` is unused (the cursor loop is sequential).
 RefreshStats Refresh(const rel::Catalog& catalog, SummaryTable& view,
                      const rel::Table& summary_delta,
-                     const RefreshOptions& options = {});
+                     const RefreshOptions& options = {},
+                     const exec::Context& ctx = {});
 
 }  // namespace sdelta::core
 

@@ -1,17 +1,16 @@
 // Fixed-size thread pool with a helping fork/join TaskGroup.
 //
-// The pool is the execution backbone for morsel-driven operators
-// (relational layer) and wave-scheduled D-lattice propagation (lattice
-// layer).  Design constraints, in order of importance:
+// The pool is the execution backbone for the morsel-driven operators
+// (relational layer); maintenance steps themselves run in order on the
+// calling thread.  Design constraints, in order of importance:
 //
 //  1. Determinism of *results* — the pool never decides what work
 //     exists or how it is split, only which thread runs it.  Work
-//     decomposition (morselization, wave membership) is computed by the
-//     caller from input sizes alone, so byte-identical output across
-//     thread counts is the caller's contract and the pool cannot break
-//     it.
+//     decomposition (morselization) is computed by the caller from
+//     input sizes alone, so byte-identical output across thread counts
+//     is the caller's contract and the pool cannot break it.
 //  2. No deadlock under nesting — a task running on a pool worker may
-//     itself fork a TaskGroup onto the same pool (e.g. a propagate step
+//     itself fork a TaskGroup onto the same pool (e.g. a forked task
 //     calling a parallel GroupBy).  TaskGroup::Wait() therefore *helps*:
 //     while its own tasks are unfinished the waiter pops and executes
 //     queued tasks instead of blocking, so every blocked thread makes

@@ -4,19 +4,21 @@
 #include <stdexcept>
 
 #include "lattice/derives.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace sdelta::lattice {
 
 AnswerResult AnswerQuery(const rel::Catalog& catalog, const VLattice& lattice,
                          const std::vector<const core::SummaryTable*>&
                              summaries,
-                         const core::ViewDef& query, obs::Tracer* tracer,
-                         obs::MetricsRegistry* metrics) {
+                         const core::ViewDef& query,
+                         const exec::Context& ctx) {
   if (summaries.size() != lattice.views.size()) {
     throw std::invalid_argument(
         "AnswerQuery: summaries must parallel lattice views");
   }
-  obs::TraceSpan span(tracer, "answer.query");
+  obs::TraceSpan span(ctx.tracer, "answer.query");
   span.Attr("query", query.name);
   const core::AugmentedView augmented =
       core::AugmentForSelfMaintenance(catalog, query);
@@ -47,9 +49,9 @@ AnswerResult AnswerQuery(const rel::Catalog& catalog, const VLattice& lattice,
     result.rows = core::LogicalRows(augmented, physical);
     span.Attr("source", "base");
     span.Attr("rows_read", static_cast<uint64_t>(result.rows_read));
-    if (metrics != nullptr) {
-      metrics->Add("answer.base_fallbacks");
-      metrics->Add("answer.rows_read", result.rows_read);
+    if (ctx.metrics != nullptr) {
+      ctx.metrics->Add("answer.base_fallbacks");
+      ctx.metrics->Add("answer.rows_read", result.rows_read);
     }
     return result;
   }
@@ -57,9 +59,9 @@ AnswerResult AnswerQuery(const rel::Catalog& catalog, const VLattice& lattice,
   result.rows_read = best->NumRows();
   span.Attr("source", result.source_view);
   span.Attr("rows_read", static_cast<uint64_t>(result.rows_read));
-  if (metrics != nullptr) {
-    metrics->Add("answer.view_hits");
-    metrics->Add("answer.rows_read", result.rows_read);
+  if (ctx.metrics != nullptr) {
+    ctx.metrics->Add("answer.view_hits");
+    ctx.metrics->Add("answer.rows_read", result.rows_read);
   }
   rel::Table physical =
       core::ApplyDerivation(catalog, best_recipe, best->ToTable());

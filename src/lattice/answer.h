@@ -5,9 +5,8 @@
 #include <vector>
 
 #include "core/summary_table.h"
+#include "exec/context.h"
 #include "lattice/vlattice.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace sdelta::lattice {
 
@@ -32,15 +31,14 @@ struct AnswerResult {
 /// `summaries` must be parallel to `lattice.views` (the Warehouse facade
 /// guarantees this layout).
 ///
-/// With sinks attached the query is traced (span answer.query) and
+/// With ctx sinks attached the query is traced (span answer.query) and
 /// counted: answer.view_hits / answer.base_fallbacks, plus
 /// answer.rows_read.
 AnswerResult AnswerQuery(const rel::Catalog& catalog, const VLattice& lattice,
                          const std::vector<const core::SummaryTable*>&
                              summaries,
                          const core::ViewDef& query,
-                         obs::Tracer* tracer = nullptr,
-                         obs::MetricsRegistry* metrics = nullptr);
+                         const exec::Context& ctx = {});
 
 }  // namespace sdelta::lattice
 

@@ -1,10 +1,10 @@
 #include "lattice/plan.h"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <unordered_set>
 
+#include "core/maintenance.h"
 #include "core/view_def.h"
 #include "relational/group_key.h"
 #include "relational/operators.h"
@@ -97,10 +97,11 @@ double EstimateGroupCount(const rel::Catalog& catalog,
 
 MaintenancePlan ChoosePlan(const rel::Catalog& catalog,
                            const VLattice& lattice,
-                           const PlanOptions& options) {
+                           const PlanOptions& options,
+                           const exec::Context& ctx) {
   MaintenancePlan plan;
   const size_t n = lattice.views.size();
-  obs::TraceSpan span(options.tracer, "plan.choose");
+  obs::TraceSpan span(ctx.tracer, "plan.choose");
   span.Attr("views", static_cast<uint64_t>(n));
   span.Attr("use_lattice", options.use_lattice);
 
@@ -109,8 +110,8 @@ MaintenancePlan ChoosePlan(const rel::Catalog& catalog,
       const double est = EstimateGroupCount(catalog, lattice.views[i]);
       plan.steps.push_back(PlanStep{i, std::nullopt, est, est});
     }
-    if (options.metrics != nullptr) {
-      options.metrics->Add("plan.steps_from_base", n);
+    if (ctx.metrics != nullptr) {
+      ctx.metrics->Add("plan.steps_from_base", n);
     }
     return plan;
   }
@@ -152,12 +153,12 @@ MaintenancePlan ChoosePlan(const rel::Catalog& catalog,
         best_edge = e;
       }
     }
-    if (options.metrics != nullptr) {
+    if (ctx.metrics != nullptr) {
       if (best_edge.has_value()) {
-        options.metrics->Observe("plan.edge_cost",
-                                 edge_cost(lattice.edges[*best_edge]));
+        ctx.metrics->Observe("plan.edge_cost",
+                             edge_cost(lattice.edges[*best_edge]));
       } else {
-        options.metrics->Add("plan.steps_from_base");
+        ctx.metrics->Add("plan.steps_from_base");
       }
     }
     const double cost = best_edge.has_value()
@@ -172,7 +173,7 @@ LatticePropagateResult PropagateAll(const rel::Catalog& catalog,
                                     const VLattice& lattice,
                                     const MaintenancePlan& plan,
                                     const core::ChangeSet& changes,
-                                    const core::PropagateOptions& opts) {
+                                    const exec::Context& ctx) {
   LatticePropagateResult result;
   result.deltas.resize(lattice.views.size());
   result.step_execs.resize(plan.steps.size());
@@ -182,7 +183,7 @@ LatticePropagateResult PropagateAll(const rel::Catalog& catalog,
   // changes attach here, while D-lattice-derived steps parent on their
   // *source view's* span so the trace tree mirrors the plan (one span
   // per PlanStep, named after the view it computes).
-  obs::TraceSpan phase(opts.tracer, "propagate");
+  obs::TraceSpan phase(ctx.tracer, "propagate");
   std::vector<uint64_t> view_span(lattice.views.size(), 0);
 
   // A lattice edge is usable for this change set only if none of the
@@ -200,37 +201,6 @@ LatticePropagateResult PropagateAll(const rel::Catalog& catalog,
     return true;
   };
 
-  // Per-step edge gating, wave membership, and the topological check —
-  // computed up front and identically on the serial and wave-scheduled
-  // paths, so StepExecution records (and thus explain output) never
-  // depend on the thread count.
-  std::vector<size_t> wave_of(lattice.views.size(), 0);
-  std::vector<std::vector<size_t>> waves;  // slot indexes per wave
-  for (size_t slot = 0; slot < plan.steps.size(); ++slot) {
-    const PlanStep& step = plan.steps[slot];
-    StepExecution& ex = result.step_execs[slot];
-    ex.view = step.view;
-    ex.via_edge =
-        step.edge.has_value() && edge_usable(lattice.edges[*step.edge]);
-    ex.edge_disabled = step.edge.has_value() && !ex.via_edge;
-    size_t w = 0;
-    if (ex.via_edge) {
-      const size_t parent = lattice.edges[*step.edge].parent;
-      if (!computed[parent]) {
-        throw std::logic_error("maintenance plan is not topologically "
-                               "ordered: parent of " +
-                               lattice.views[step.view].name() +
-                               " not yet computed");
-      }
-      w = wave_of[parent] + 1;
-    }
-    wave_of[step.view] = w;
-    ex.wave = w;
-    computed[step.view] = true;
-    if (w >= waves.size()) waves.resize(w + 1);
-    waves[w].push_back(slot);
-  }
-
   // Saturating double -> size_t for the §5.5 estimates feeding hash
   // pre-sizing (an estimate can be huge or non-finite; the hint is
   // additionally capped so a wild estimate cannot over-allocate).
@@ -243,19 +213,29 @@ LatticePropagateResult PropagateAll(const rel::Catalog& catalog,
     return static_cast<size_t>(estimated_groups);
   };
 
-  // Runs one plan step (on whichever thread the wave scheduler picked)
-  // and records its summary-delta, span id, and execution record into
-  // per-step slots. The explicit parent span mirrors the D-lattice:
-  // derived steps parent on their source view's span, base steps on the
-  // phase.
-  auto run_step = [&](size_t slot, core::PropagateStats* stats) {
+  for (size_t slot = 0; slot < plan.steps.size(); ++slot) {
     const PlanStep& step = plan.steps[slot];
     StepExecution& ex = result.step_execs[slot];
-    const auto start = std::chrono::steady_clock::now();
+    ex.view = step.view;
+    ex.via_edge =
+        step.edge.has_value() && edge_usable(lattice.edges[*step.edge]);
+    ex.edge_disabled = step.edge.has_value() && !ex.via_edge;
+    if (ex.via_edge && !computed[lattice.edges[*step.edge].parent]) {
+      throw std::logic_error("maintenance plan is not topologically "
+                             "ordered: parent of " +
+                             lattice.views[step.view].name() +
+                             " not yet computed");
+    }
+    computed[step.view] = true;
+
+    // The explicit parent span mirrors the D-lattice: derived steps
+    // parent on their source view's span, base steps on the phase.
+    core::Stopwatch sw;
     const uint64_t parent_span =
         ex.via_edge ? view_span[lattice.edges[*step.edge].parent] : phase.id();
-    obs::TraceSpan span(opts.tracer, lattice.views[step.view].name(),
+    obs::TraceSpan span(ctx.tracer, lattice.views[step.view].name(),
                         parent_span);
+    core::PropagateStats stats;
     if (ex.via_edge) {
       const VLatticeEdge& edge = lattice.edges[*step.edge];
       // The child can have at most as many delta groups as the parent
@@ -266,59 +246,27 @@ LatticePropagateResult PropagateAll(const rel::Catalog& catalog,
       if (hint == 0 || hint > parent_rows) hint = parent_rows;
       result.deltas[step.view] =
           core::ApplyDerivation(catalog, edge.recipe,
-                                result.deltas[edge.parent], opts.pool,
-                                &stats->ops, hint);
-      stats->prepared_tuples = parent_rows;
-      stats->delta_groups = result.deltas[step.view].NumRows();
-      if (opts.metrics != nullptr) stats->EmitTo(*opts.metrics);
+                                result.deltas[edge.parent], ctx.pool,
+                                &stats.ops, hint);
+      stats.prepared_tuples = parent_rows;
+      stats.delta_groups = result.deltas[step.view].NumRows();
+      if (ctx.metrics != nullptr) stats.EmitTo(*ctx.metrics);
       span.Attr("source", lattice.views[edge.parent].name());
     } else {
-      core::PropagateOptions step_opts = opts;
-      step_opts.delta_size_hint = size_hint_of(step.estimated_groups);
       result.deltas[step.view] = core::ComputeSummaryDelta(
-          catalog, lattice.views[step.view], changes, step_opts, stats);
+          catalog, lattice.views[step.view], changes, ctx, &stats,
+          size_hint_of(step.estimated_groups));
       span.Attr("source", "base");
     }
-    span.Attr("delta_rows", static_cast<uint64_t>(stats->delta_groups));
+    span.Attr("delta_rows", static_cast<uint64_t>(stats.delta_groups));
     view_span[step.view] = span.id();
-    ex.input_rows = stats->prepared_tuples;
-    ex.delta_rows = stats->delta_groups;
-    ex.ops = stats->ops;
-    ex.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-  };
-
-  std::vector<core::PropagateStats> step_stats(plan.steps.size());
-  if (opts.pool == nullptr) {
-    for (size_t slot = 0; slot < plan.steps.size(); ++slot) {
-      run_step(slot, &step_stats[slot]);
-    }
-  } else {
-    // Wave schedule: wave 0 computes from base changes (or along an edge
-    // disabled by dimension deltas), wave k+1 derives from a wave-k
-    // parent. Steps within a wave are independent by construction, so
-    // each wave is one fork/join over the pool; the wave barrier
-    // guarantees every parent's summary-delta (and its span id) is in
-    // place before any dependent dispatches.
-    for (size_t w = 0; w < waves.size(); ++w) {
-      exec::TaskGroup group(opts.pool);
-      for (size_t slot : waves[w]) {
-        group.Spawn([&, slot] { run_step(slot, &step_stats[slot]); });
-      }
-      group.Wait();
-      if (opts.metrics != nullptr) {
-        opts.metrics->Add("exec.waves");
-        opts.metrics->Observe("exec.wave_width",
-                              static_cast<double>(waves[w].size()));
-      }
-    }
-  }
-  // Fold stats deterministically, in plan order.
-  for (const core::PropagateStats& st : step_stats) {
-    result.totals.prepared_tuples += st.prepared_tuples;
-    result.totals.delta_groups += st.delta_groups;
-    result.totals.ops.MergeFrom(st.ops);
+    ex.input_rows = stats.prepared_tuples;
+    ex.delta_rows = stats.delta_groups;
+    ex.ops = stats.ops;
+    ex.seconds = sw.ElapsedSeconds();
+    result.totals.prepared_tuples += stats.prepared_tuples;
+    result.totals.delta_groups += stats.delta_groups;
+    result.totals.ops.MergeFrom(stats.ops);
   }
   return result;
 }

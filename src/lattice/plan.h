@@ -7,6 +7,7 @@
 
 #include "core/delta.h"
 #include "core/propagate.h"
+#include "exec/context.h"
 #include "lattice/vlattice.h"
 
 namespace sdelta::lattice {
@@ -41,11 +42,6 @@ struct PlanOptions {
   /// false reproduces the paper's "Propagate (w/o lattice)" baseline:
   /// every summary-delta is computed directly from the base changes.
   bool use_lattice = true;
-  /// Observability sinks (see src/obs/). Null = disabled. The chooser
-  /// records one plan.edge_cost observation per chosen edge and a
-  /// plan.steps_from_base counter.
-  obs::Tracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// Estimated number of groups of a view: the product of per-attribute
@@ -55,9 +51,13 @@ struct PlanOptions {
 double EstimateGroupCount(const rel::Catalog& catalog,
                           const core::AugmentedView& view);
 
+/// With ctx sinks attached the chooser traces span plan.choose and
+/// records one plan.edge_cost observation per chosen edge and a
+/// plan.steps_from_base counter.
 MaintenancePlan ChoosePlan(const rel::Catalog& catalog,
                            const VLattice& lattice,
-                           const PlanOptions& options = {});
+                           const PlanOptions& options = {},
+                           const exec::Context& ctx = {});
 
 /// Execution record of one plan step — the "actuals" side of
 /// EXPLAIN ANALYZE. Everything except `seconds` (and the wall_seconds
@@ -71,10 +71,6 @@ struct StepExecution {
   /// The plan chose an edge but a dimension-table delta forced this step
   /// back to computing from base changes.
   bool edge_disabled = false;
-  /// D-lattice depth of the step: 0 = from base changes, k+1 = derived
-  /// from a wave-k parent. Computed identically on the serial and
-  /// wave-scheduled paths.
-  size_t wave = 0;
   /// Rows fed into the step: the parent's summary-delta cardinality
   /// (via edge) or the prepare-changes relation size (from base).
   size_t input_rows = 0;
@@ -99,12 +95,14 @@ struct LatticePropagateResult {
 
 /// Executes the plan against a change set: tops (and all views, without
 /// a lattice) come from ComputeSummaryDelta; children from their
-/// parent's freshly computed summary-delta via the edge recipe.
+/// parent's freshly computed summary-delta via the edge recipe. Steps
+/// run in plan order on the calling thread; each passes `ctx.pool` into
+/// its operators.
 LatticePropagateResult PropagateAll(const rel::Catalog& catalog,
                                     const VLattice& lattice,
                                     const MaintenancePlan& plan,
                                     const core::ChangeSet& changes,
-                                    const core::PropagateOptions& opts = {});
+                                    const exec::Context& ctx = {});
 
 }  // namespace sdelta::lattice
 

@@ -134,8 +134,8 @@ struct MetricsSnapshot {
 /// ordered so exports are deterministic.
 ///
 /// Thread safety: all mutators and reads are serialized on an internal
-/// mutex, so concurrent propagate steps / refresh workers can share one
-/// registry. Bulk reads go through Snapshot(), a mutex-held deep copy —
+/// mutex, so the maintenance thread, pool workers and snapshot readers
+/// can share one registry. Bulk reads go through Snapshot(), a mutex-held deep copy —
 /// there is no way to observe live series by reference.
 class MetricsRegistry {
  public:

@@ -24,7 +24,7 @@ namespace sdelta::rel {
 /// encoded in batch 1 through the same dictionary.
 ///
 /// Thread safety: Intern/Lookup/ValueOf/size may be called concurrently
-/// (parallel GroupBy morsels and per-view refreshes share dictionaries).
+/// (parallel GroupBy morsels share dictionaries).
 /// Returned string references stay valid forever: storage is a deque,
 /// which never moves existing elements on append.
 ///

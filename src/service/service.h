@@ -265,8 +265,8 @@ class WarehouseService {
   /// when its option is off.
   std::unique_ptr<obs::TimeSeriesStore> timeseries_;
   /// Private span sink for the warehouse batch pipeline while
-  /// profiling: written only by the maintenance thread (and the pool
-  /// workers it joins), folded + cleared per drain, so spans() reads in
+  /// profiling: written only by the maintenance thread (pool workers
+  /// open no spans), folded + cleared per drain, so spans() reads in
   /// ApplyItems are quiesced by construction.
   std::unique_ptr<obs::Tracer> profile_tracer_;
   std::unique_ptr<obs::Profiler> profiler_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "core/maintenance.h"
 #include "core/sql_parser.h"
@@ -60,9 +61,9 @@ lattice::AnswerResult ReadSnapshot::Query(const core::ViewDef& query) const {
   std::vector<const core::SummaryTable*> summaries;
   summaries.reserve(epoch.views.size());
   for (const auto& v : epoch.views) summaries.push_back(v.get());
-  lattice::AnswerResult result =
-      lattice::AnswerQuery(*epoch.catalog, *epoch.lattice, summaries, query,
-                           /*tracer=*/nullptr, epoch.metrics);
+  lattice::AnswerResult result = lattice::AnswerQuery(
+      *epoch.catalog, *epoch.lattice, summaries, query,
+      {/*tracer=*/nullptr, obs != nullptr ? obs->metrics : nullptr});
   const double elapsed = sw.ElapsedSeconds();
   if (obs != nullptr) {
     if (obs->metrics != nullptr) obs->metrics->Add("service.snapshot_queries");
@@ -94,11 +95,14 @@ std::shared_ptr<const Epoch> VersionedTables::Current() const {
 double VersionedTables::Install(std::shared_ptr<const Epoch> next) {
   // The reader-visible batch window: everything before this point built
   // `next` off to the side; everything readers can observe flips in one
-  // pointer assignment under the pin mutex.
+  // pointer exchange under the pin mutex. The retired epoch moves into a
+  // local and is freed after the lock is released (and after the window
+  // is measured), so readers in Pin() never wait on its tables.
   core::Stopwatch sw;
+  std::shared_ptr<const Epoch> retired;
   {
     std::scoped_lock lock(mu_);
-    current_ = std::move(next);
+    retired = std::exchange(current_, std::move(next));
   }
   return sw.ElapsedSeconds();
 }
@@ -152,7 +156,6 @@ std::shared_ptr<const Epoch> BuildEpoch(
   const lattice::VLattice& wl = wh.vlattice();
   auto next = std::make_shared<Epoch>();
   next->number = number;
-  next->metrics = service_obs != nullptr ? service_obs->metrics : nullptr;
   next->obs = service_obs;
   if (!full_rebuild && prev) {
     next->lattice = prev->lattice;

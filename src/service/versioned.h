@@ -50,12 +50,10 @@ struct Epoch {
   /// Parallel to lattice->views.
   std::vector<std::shared_ptr<const core::SummaryTable>> views;
   std::shared_ptr<const rel::Catalog> catalog;
-  /// Shared service registry for answer.* accounting; may be null.
-  /// Owned by the service — snapshots must not outlive it.
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Shared observability context (request ids, events, tracer); may be
-  /// null (e.g. epochs built outside a service). Same lifetime rule as
-  /// `metrics`.
+  /// Shared observability context (registry for answer.* accounting,
+  /// request ids, events, tracer); may be null (e.g. epochs built
+  /// outside a service). Owned by the service — snapshots must not
+  /// outlive it.
   ServiceObs* obs = nullptr;
 };
 
@@ -97,7 +95,9 @@ class VersionedTables {
   std::shared_ptr<const Epoch> Current() const;
 
   /// Installs `next` as the current epoch and returns the seconds the
-  /// swap itself took (the measured service.refresh_window).
+  /// swap itself took (the measured service.refresh_window). The
+  /// retired epoch is released after the pin mutex is dropped, so
+  /// freeing its tables never blocks a concurrent Pin().
   double Install(std::shared_ptr<const Epoch> next);
 
  private:

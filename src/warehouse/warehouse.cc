@@ -14,29 +14,29 @@ core::RefreshStats BatchReport::TotalRefresh() const {
 }
 
 Warehouse::Warehouse(rel::Catalog catalog, Options options)
-    : catalog_(std::move(catalog)),
-      options_(options),
-      num_threads_(exec::ThreadPool::ResolveThreads(options.num_threads)) {
+    : catalog_(std::move(catalog)), options_(options) {
   // The calling thread is an execution context (TaskGroup::Wait helps),
   // so n threads of parallelism need n-1 pool workers. num_threads == 1
-  // keeps pool_ null: every operator takes its exact legacy serial path.
-  if (num_threads_ > 1) {
-    pool_ = std::make_unique<exec::ThreadPool>(num_threads_ - 1);
-  }
+  // keeps pool_ null: every operator takes its exact serial path.
+  const size_t threads = exec::ThreadPool::ResolveThreads(options.num_threads);
+  if (threads > 1) pool_ = std::make_unique<exec::ThreadPool>(threads - 1);
 }
 
 namespace {
 
 /// Folds the pool-stat delta across a phase into exec.* metrics.
 /// exec.tasks and exec.morsels are counters and depend only on the work
-/// decomposition (identical for every num_threads > 1); the busy-time
-/// split varies with scheduling, so it feeds gauges only. Utilization is
-/// reported per execution context: one exec.worker_utilization.<i> gauge
-/// per pool worker plus exec.helper_utilization for the calling thread's
-/// help-while-waiting time, each a busy fraction of the elapsed phase.
-void DrainExecStats(const exec::PoolStats& before, const exec::PoolStats& after,
-                    double elapsed_seconds, size_t num_threads,
-                    obs::MetricsRegistry& m) {
+/// decomposition (identical for every num_threads > 1); exec.threads and
+/// the busy-time split, which varies with scheduling, are gauges.
+/// Utilization is reported per execution context: one
+/// exec.worker_utilization.<i> gauge per pool worker plus
+/// exec.helper_utilization for the calling thread's help-while-waiting
+/// time, each a busy fraction of the elapsed phase.
+void DrainExecStats(const exec::ThreadPool& pool, const exec::PoolStats& before,
+                    double elapsed_seconds, obs::MetricsRegistry& m) {
+  const exec::PoolStats after = pool.StatsSnapshot();
+  const size_t num_threads = pool.parallelism();
+  m.Set("exec.threads", static_cast<double>(num_threads));
   m.Add("exec.tasks", after.tasks_scheduled - before.tasks_scheduled);
   m.Add("exec.morsels", after.morsels_scheduled - before.morsels_scheduled);
   const double busy =
@@ -112,11 +112,9 @@ void Warehouse::Rebuild(bool materialize) {
   summaries_.clear();
 
   lattice_ = lattice::BuildVLattice(catalog_, std::move(augmented));
-  lattice::PlanOptions plan_options;
-  plan_options.use_lattice = options_.use_lattice;
-  plan_options.tracer = options_.tracer;
-  plan_options.metrics = options_.metrics;
-  plan_ = lattice::ChoosePlan(catalog_, lattice_, plan_options);
+  plan_ = lattice::ChoosePlan(catalog_, lattice_,
+                              lattice::PlanOptions{options_.use_lattice},
+                              context());
   summaries_.reserve(lattice_.views.size());
   for (const core::AugmentedView& v : lattice_.views) {
     summaries_.emplace_back(v, catalog_);
@@ -169,22 +167,15 @@ BatchReport Warehouse::RunBatch(const core::ChangeSet& changes) {
   obs::MetricsRegistry scratch;
   obs::MetricsRegistry& m =
       options_.metrics != nullptr ? *options_.metrics : scratch;
-  obs::Tracer* tracer = options_.tracer;
-
-  core::PropagateOptions popts = options_.propagate;
-  popts.tracer = tracer;
-  popts.metrics = &m;
-  popts.pool = pool_.get();
-  core::RefreshOptions ropts = options_.refresh;
-  ropts.tracer = tracer;
-  ropts.metrics = &m;
+  exec::Context ctx = context();
+  ctx.metrics = &m;
 
   // A shared registry accumulates across batches; the report is the
   // delta over this batch.
   const uint64_t scanned0 = m.counter("propagate.rows_scanned");
   const uint64_t delta0 = m.counter("propagate.delta_rows");
 
-  obs::TraceSpan batch(tracer, "warehouse.RunBatch");
+  obs::TraceSpan batch(ctx.tracer, "warehouse.RunBatch");
   BatchReport report;
 
   const exec::PoolStats exec0 =
@@ -193,42 +184,25 @@ BatchReport Warehouse::RunBatch(const core::ChangeSet& changes) {
 
   core::Stopwatch sw;
   lattice::LatticePropagateResult deltas =
-      lattice::PropagateAll(catalog_, lattice_, plan_, changes, popts);
+      lattice::PropagateAll(catalog_, lattice_, plan_, changes, ctx);
   m.Set("batch.propagate_seconds", sw.ElapsedSeconds());
   report.step_execs = std::move(deltas.step_execs);
 
   sw.Reset();
   {
-    obs::TraceSpan apply(tracer, "batch.apply_base");
+    obs::TraceSpan apply(ctx.tracer, "batch.apply_base");
     core::ApplyChangeSet(catalog_, changes);
   }
   m.Set("batch.apply_base_seconds", sw.ElapsedSeconds());
 
   sw.Reset();
   {
-    obs::TraceSpan refresh_span(tracer, "refresh");
-    // Pool workers have no open spans; parent refresh.view explicitly.
-    if (pool_ != nullptr) ropts.parent_span = refresh_span.id();
-    report.views.resize(summaries_.size());
-    // Refresh every view, one per-view report slot so the report order
-    // matches the serial loop regardless of scheduling. Views are
-    // independent: each refresh mutates only its own summary table and
-    // reads the (already updated) base tables.
-    auto refresh_view = [&](size_t i) {
-      ViewBatchReport& vr = report.views[i];
-      vr.view = summaries_[i].name();
-      vr.delta_rows = deltas.deltas[i].NumRows();
-      vr.refresh =
-          core::Refresh(catalog_, summaries_[i], deltas.deltas[i], ropts);
-    };
-    if (pool_ != nullptr) {
-      exec::TaskGroup group(pool_.get());
-      for (size_t i = 0; i < summaries_.size(); ++i) {
-        group.Spawn([&refresh_view, i] { refresh_view(i); });
-      }
-      group.Wait();
-    } else {
-      for (size_t i = 0; i < summaries_.size(); ++i) refresh_view(i);
+    obs::TraceSpan refresh_span(ctx.tracer, "refresh");
+    for (size_t i = 0; i < summaries_.size(); ++i) {
+      report.views.push_back(ViewBatchReport{
+          summaries_[i].name(), deltas.deltas[i].NumRows(),
+          core::Refresh(catalog_, summaries_[i], deltas.deltas[i],
+                        options_.refresh, ctx)});
     }
   }
   m.Set("batch.refresh_seconds", sw.ElapsedSeconds());
@@ -269,9 +243,7 @@ BatchReport Warehouse::RunBatch(const core::ChangeSet& changes) {
           static_cast<double>(batch_rows) / static_cast<double>(batches));
   }
   if (pool_ != nullptr) {
-    m.Set("exec.threads", static_cast<double>(num_threads_));
-    DrainExecStats(exec0, pool_->StatsSnapshot(), batch_sw.ElapsedSeconds(),
-                   num_threads_, m);
+    DrainExecStats(*pool_, exec0, batch_sw.ElapsedSeconds(), m);
   }
   return report;
 }
@@ -300,23 +272,17 @@ lattice::ExplainResult Warehouse::ExplainAnalyze(const core::ChangeSet& changes,
 
 double Warehouse::PropagateOnly(const core::ChangeSet& changes,
                                 core::PropagateStats* stats) const {
-  core::PropagateOptions popts = options_.propagate;
-  popts.tracer = options_.tracer;
-  popts.metrics = options_.metrics;
-  popts.pool = pool_.get();
   obs::TraceSpan span(options_.tracer, "warehouse.PropagateOnly");
   const exec::PoolStats exec0 =
       pool_ != nullptr ? pool_->StatsSnapshot() : exec::PoolStats{};
   core::Stopwatch sw;
   lattice::LatticePropagateResult deltas =
-      lattice::PropagateAll(catalog_, lattice_, plan_, changes, popts);
+      lattice::PropagateAll(catalog_, lattice_, plan_, changes, context());
   const double elapsed = sw.ElapsedSeconds();
   if (options_.metrics != nullptr) {
     options_.metrics->Observe("propagate.seconds", elapsed);
     if (pool_ != nullptr) {
-      options_.metrics->Set("exec.threads", static_cast<double>(num_threads_));
-      DrainExecStats(exec0, pool_->StatsSnapshot(), elapsed, num_threads_,
-                     *options_.metrics);
+      DrainExecStats(*pool_, exec0, elapsed, *options_.metrics);
     }
   }
   if (stats != nullptr) *stats = deltas.totals;
@@ -369,7 +335,7 @@ lattice::AnswerResult Warehouse::Query(const core::ViewDef& query) const {
   summaries.reserve(summaries_.size());
   for (const core::SummaryTable& s : summaries_) summaries.push_back(&s);
   return lattice::AnswerQuery(catalog_, lattice_, summaries, query,
-                              options_.tracer, options_.metrics);
+                              context());
 }
 
 lattice::AnswerResult Warehouse::Query(const std::string& sql) const {

@@ -7,6 +7,7 @@
 
 #include "core/maintenance.h"
 #include "core/summary_table.h"
+#include "exec/context.h"
 #include "exec/thread_pool.h"
 #include "lattice/answer.h"
 #include "lattice/explain.h"
@@ -66,20 +67,22 @@ class Warehouse {
     /// Propagate through the D-lattice (§5.4/§5.5). false = the paper's
     /// "w/o lattice" baseline: every summary-delta from base changes.
     bool use_lattice = true;
-    core::PropagateOptions propagate;
     core::RefreshOptions refresh;
-    /// Observability sinks (src/obs/), threaded through every pipeline
-    /// stage (plan choice, propagate, refresh, answer). Null = disabled;
-    /// the off path costs one branch per instrumentation site. Dump a
-    /// captured trace with obs::WriteChromeTrace / obs::ExportJson.
+    /// Observability sinks (src/obs/), passed as one exec::Context to
+    /// every pipeline stage (plan choice, propagate, refresh, answer).
+    /// Null = disabled; the off path costs one branch per
+    /// instrumentation site. Dump a captured trace with
+    /// obs::WriteChromeTrace / obs::ExportJson.
     obs::Tracer* tracer = nullptr;
     obs::MetricsRegistry* metrics = nullptr;
-    /// Execution contexts for the parallel engine: 0 = one per hardware
-    /// thread, 1 = the exact legacy serial path (no pool, no exec.*
-    /// metrics), n > 1 = the calling thread plus n-1 pool workers.
+    /// Execution contexts for the morsel-driven operators: 1 (the
+    /// default) = the serial path (no pool, no exec.* metrics), 0 = one
+    /// per hardware thread, n > 1 = the calling thread plus n-1 pool
+    /// workers. Maintenance steps always run in plan/view order on the
+    /// calling thread; only operators inside a step fork onto the pool.
     /// Results are byte-identical at every setting (see operators.h for
     /// the determinism contract and its double-SUM caveat).
-    size_t num_threads = 0;
+    size_t num_threads = 1;
   };
 
   explicit Warehouse(rel::Catalog catalog) : Warehouse(std::move(catalog), Options()) {}
@@ -95,7 +98,7 @@ class Warehouse {
   void SetTracer(obs::Tracer* tracer) { options_.tracer = tracer; }
 
   /// Resolved execution-context count (>= 1).
-  size_t num_threads() const { return num_threads_; }
+  size_t num_threads() const { return pool_ ? pool_->parallelism() : 1; }
   /// The engine's pool; null when num_threads() == 1.
   exec::ThreadPool* pool() const { return pool_.get(); }
 
@@ -139,8 +142,9 @@ class Warehouse {
   BatchReport RunBatch(const core::ChangeSet& changes);
 
   /// EXPLAIN: the annotated maintenance-plan tree for a change set —
-  /// per-step source (after dimension-delta edge gating), wave, and
-  /// estimated input/delta cardinalities. Pure; executes nothing.
+  /// per-step source (after dimension-delta edge gating), D-lattice
+  /// depth, and estimated input/delta cardinalities. Pure; executes
+  /// nothing.
   lattice::ExplainResult Explain(const core::ChangeSet& changes) const;
 
   /// EXPLAIN ANALYZE: runs the full batch (this *is* RunBatch — base and
@@ -176,11 +180,14 @@ class Warehouse {
   /// preserving rows of tables whose physical schema is unchanged and
   /// materializing the rest (from a parent when the plan allows).
   void Rebuild(bool materialize);
+  /// The sinks and pool every pipeline stage runs with.
+  exec::Context context() const {
+    return {options_.tracer, options_.metrics, pool_.get()};
+  }
 
   rel::Catalog catalog_;
   Options options_;
-  size_t num_threads_ = 1;
-  /// Workers = num_threads_ - 1: the thread calling into the warehouse
+  /// Workers = num_threads() - 1: the thread calling into the warehouse
   /// is itself an execution context (TaskGroup::Wait helps run tasks).
   std::unique_ptr<exec::ThreadPool> pool_;
   std::vector<core::ViewDef> defined_views_;  // as the user declared them

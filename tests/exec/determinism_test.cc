@@ -132,7 +132,7 @@ TEST(DeterminismTest, RunBatchByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(base_counters, two.PipelineCounters());
   EXPECT_EQ(base_counters, eight.PipelineCounters());
 
-  // exec.* counters (tasks, morsels, waves) are a pure function of the
+  // exec.* counters (tasks, morsels) are a pure function of the
   // work, never of the worker count — 2 threads and 8 threads agree.
   EXPECT_TRUE(serial.ExecCounters().empty());  // no pool, no exec metrics
   const auto exec_counters = two.ExecCounters();
@@ -239,7 +239,8 @@ TEST(DeterminismTest, ServiceCountersInvariantAcrossThreadCounts) {
 // A view family where several siblings re-join `stores` over one
 // parent summary-delta (lattice_friendly off): the same randomized batch
 // sequence yields byte-identical summary tables at 1, 2, and 8 threads,
-// where the pooled path runs the sibling joins side by side in one wave.
+// where the pooled path splits each sibling's join and group-by into
+// morsels.
 TEST(DeterminismTest, SiblingJoinFamilyByteIdenticalAcrossThreadCounts) {
   auto sibling_views = [] {
     auto view = [](const std::string& name,

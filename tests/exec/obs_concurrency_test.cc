@@ -84,8 +84,8 @@ TEST(ObsConcurrencyTest, SpansFromManyThreadsNestPerThread) {
 }
 
 TEST(ObsConcurrencyTest, ExplicitParentCrossesThreads) {
-  // The propagate-wave shape: a phase span opened on the calling thread,
-  // step spans opened on pool workers with the phase as explicit parent.
+  // A phase span opened on the calling thread, step spans opened on pool
+  // workers with the phase as explicit parent.
   obs::Tracer tracer;
   exec::ThreadPool pool(2);
   uint64_t phase_id = 0;

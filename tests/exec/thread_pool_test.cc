@@ -148,7 +148,7 @@ TEST(TaskGroupTest, PropagatesFirstException) {
 
 TEST(TaskGroupTest, NestedForkJoinDoesNotDeadlock) {
   // A task on the pool forks its own ParallelFor onto the same pool —
-  // the propagate-wave-calls-parallel-GroupBy shape. Help-while-waiting
+  // a task calling a parallel GroupBy. Help-while-waiting
   // must drain the inner tasks even though every worker may be blocked
   // in an outer Wait.
   ThreadPool pool(2);

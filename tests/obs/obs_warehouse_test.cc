@@ -4,7 +4,9 @@
 // view — and (b) a registry whose counters reproduce the BatchReport.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <vector>
 
 #include "obs/export_chrome.h"
 #include "obs/export_json.h"
@@ -63,58 +65,77 @@ class ObsWarehouseTest : public ::testing::Test {
   Warehouse wh_;
 };
 
+// Maintenance steps run in plan and view order on the calling thread at
+// every thread count, so the pool changes nothing in the trace: the
+// same tree, span for span, at 1 and 4 threads.
 TEST_F(ObsWarehouseTest, RunBatchSpanTreeMirrorsThePlan) {
-  wh_.RunBatch(MakeUpdateGeneratingChanges(wh_.catalog(), 300, 61));
+  std::map<size_t, std::vector<std::string>> trees;
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Warehouse::Options options = MakeOptions();
+    options.num_threads = threads;
+    Warehouse wh(MakeRetailCatalog(SmallConfig()), options);
+    wh.DefineSummaryTables(RetailSummaryTables());
+    tracer_.Clear();  // drop the Rebuild trace; the test watches the batch
+    wh.RunBatch(MakeUpdateGeneratingChanges(wh.catalog(), 300, 61));
 
-  const obs::SpanRecord* batch = FindSpan(tracer_, "warehouse.RunBatch");
-  ASSERT_NE(batch, nullptr);
-  EXPECT_EQ(batch->parent_id, 0u);
-  const obs::SpanRecord* phase = FindSpan(tracer_, "propagate");
-  ASSERT_NE(phase, nullptr);
-  EXPECT_EQ(phase->parent_id, batch->id);
+    const obs::SpanRecord* batch = FindSpan(tracer_, "warehouse.RunBatch");
+    ASSERT_NE(batch, nullptr);
+    EXPECT_EQ(batch->parent_id, 0u);
+    const obs::SpanRecord* phase = FindSpan(tracer_, "propagate");
+    ASSERT_NE(phase, nullptr);
+    EXPECT_EQ(phase->parent_id, batch->id);
 
-  // One propagate span per summary table, named after the view and
-  // parented on its plan source: the phase span for base-computed
-  // deltas, the source view's span for edge-derived ones.
-  size_t via_edge = 0;
-  for (const lattice::PlanStep& step : wh_.plan().steps) {
-    const std::string& view = wh_.vlattice().views[step.view].name();
-    SCOPED_TRACE(view);
-    const obs::SpanRecord* span = FindSpan(tracer_, view);
-    ASSERT_NE(span, nullptr);
-    const std::string source = AttrOf(*span, "source");
-    if (source == "base") {
-      EXPECT_EQ(span->parent_id, phase->id);
-    } else {
-      const obs::SpanRecord* parent = FindSpan(tracer_, source);
-      ASSERT_NE(parent, nullptr);
-      EXPECT_EQ(span->parent_id, parent->id);
-      ++via_edge;
+    // One propagate span per summary table, named after the view and
+    // parented on its plan source: the phase span for base-computed
+    // deltas, the source view's span for edge-derived ones.
+    size_t via_edge = 0;
+    for (const lattice::PlanStep& step : wh.plan().steps) {
+      const std::string& view = wh.vlattice().views[step.view].name();
+      SCOPED_TRACE(view);
+      const obs::SpanRecord* span = FindSpan(tracer_, view);
+      ASSERT_NE(span, nullptr);
+      const std::string source = AttrOf(*span, "source");
+      if (source == "base") {
+        EXPECT_EQ(span->parent_id, phase->id);
+      } else {
+        const obs::SpanRecord* parent = FindSpan(tracer_, source);
+        ASSERT_NE(parent, nullptr);
+        EXPECT_EQ(span->parent_id, parent->id);
+        ++via_edge;
+      }
+      EXPECT_NE(AttrOf(*span, "delta_rows"), "");
     }
-    EXPECT_NE(AttrOf(*span, "delta_rows"), "");
-  }
-  // The retail plan (Figure 8) derives at least one view through the
-  // lattice rather than from base changes.
-  EXPECT_GT(via_edge, 0u);
+    // The retail plan (Figure 8) derives at least one view through the
+    // lattice rather than from base changes.
+    EXPECT_GT(via_edge, 0u);
 
-  // Refresh: one refresh.view span per summary table, under the refresh
-  // phase span.
-  const obs::SpanRecord* refresh = FindSpan(tracer_, "refresh");
-  ASSERT_NE(refresh, nullptr);
-  EXPECT_EQ(refresh->parent_id, batch->id);
-  size_t refreshed = 0;
-  for (const obs::SpanRecord& s : tracer_.spans()) {
-    if (s.name != "refresh.view") continue;
-    EXPECT_EQ(s.parent_id, refresh->id);
-    ++refreshed;
-  }
-  EXPECT_EQ(refreshed, wh_.NumSummaryTables());
+    // Refresh: one refresh.view span per summary table, under the
+    // refresh phase span.
+    const obs::SpanRecord* refresh = FindSpan(tracer_, "refresh");
+    ASSERT_NE(refresh, nullptr);
+    EXPECT_EQ(refresh->parent_id, batch->id);
+    size_t refreshed = 0;
+    for (const obs::SpanRecord& s : tracer_.spans()) {
+      if (s.name != "refresh.view") continue;
+      EXPECT_EQ(s.parent_id, refresh->id);
+      ++refreshed;
+    }
+    EXPECT_EQ(refreshed, wh.NumSummaryTables());
 
-  // Every span is closed with sane timestamps.
-  for (const obs::SpanRecord& s : tracer_.spans()) {
-    EXPECT_NE(s.end_ns, 0u) << s.name;
-    EXPECT_GE(s.end_ns, s.start_ns) << s.name;
+    // Every span is closed with sane timestamps. The tree is recorded as
+    // "span [view] <- parent" lines in recording order.
+    const std::vector<obs::SpanRecord>& spans = tracer_.spans();
+    for (const obs::SpanRecord& s : spans) {
+      EXPECT_NE(s.end_ns, 0u) << s.name;
+      EXPECT_GE(s.end_ns, s.start_ns) << s.name;
+      trees[threads].push_back(
+          s.name + " [" + AttrOf(s, "view") + "] <- " +
+          (s.parent_id != 0 ? spans[s.parent_id - 1].name : ""));
+    }
   }
+  EXPECT_FALSE(trees[1].empty());
+  EXPECT_EQ(trees[1], trees[4]);
 }
 
 TEST_F(ObsWarehouseTest, ChromeTraceIsValidJsonWithOneEventPerSpan) {

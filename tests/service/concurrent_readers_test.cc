@@ -11,12 +11,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "core/delta.h"
 #include "service/service.h"
+#include "service/versioned.h"
 #include "warehouse/retail_schema.h"
 #include "warehouse/workload.h"
 
@@ -116,6 +120,32 @@ TEST(ConcurrentReadersTest, SnapshotsAreAlwaysEpochConsistent) {
   svc->Stop();
   svc.reset();
   fs::remove_all(dir);
+}
+
+// Install must not free the retired epoch while holding the pin mutex:
+// freeing its summary tables can take milliseconds, and every reader
+// calling Pin() would wait for it. The retired epoch's deleter pins from
+// another thread and gives it a bounded 200 ms; a blocked pin means the
+// epoch died under the lock. (The wait is bounded, so the faulty order
+// fails the test instead of hanging it.)
+TEST(ConcurrentReadersTest, RetiredEpochIsFreedOutsideThePinLock) {
+  VersionedTables tables;
+  std::thread reader;
+  std::future_status pin = std::future_status::deferred;
+  auto free_epoch = [&](const Epoch* epoch) {
+    std::packaged_task<void()> pin_task([&tables] { tables.Pin(); });
+    std::future<void> pinned = pin_task.get_future();
+    reader = std::thread(std::move(pin_task));
+    pin = pinned.wait_for(std::chrono::milliseconds(200));
+    delete epoch;
+  };
+  tables.Install(std::shared_ptr<const Epoch>(new Epoch, free_epoch));
+  const auto second = std::make_shared<const Epoch>();
+  tables.Install(second);
+  ASSERT_TRUE(reader.joinable());  // the first epoch was retired
+  reader.join();
+  EXPECT_EQ(pin, std::future_status::ready);
+  EXPECT_EQ(tables.Current(), second);
 }
 
 }  // namespace

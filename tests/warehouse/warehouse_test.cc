@@ -40,6 +40,28 @@ TEST(WarehouseTest, DefineBuildsLatticeAndPlan) {
   EXPECT_THROW(wh.summary("nope"), std::invalid_argument);
 }
 
+// Maintenance is serial unless a caller asks for threads: the default
+// options resolve to one execution context, no pool, and a batch emits
+// no exec.* series.
+TEST(WarehouseTest, DefaultOptionsRunSerially) {
+  obs::MetricsRegistry metrics;
+  Warehouse::Options options;
+  options.metrics = &metrics;
+  Warehouse wh = MakeWarehouse(options);
+  EXPECT_EQ(wh.num_threads(), 1u);
+  EXPECT_EQ(wh.pool(), nullptr);
+  wh.RunBatch(MakeUpdateGeneratingChanges(wh.catalog(), 300, 61));
+  const obs::MetricsSnapshot snap = metrics.Snapshot();
+  EXPECT_GT(snap.counters.count("propagate.delta_rows"), 0u);
+  std::vector<std::string> names;
+  for (const auto& [name, value] : snap.counters) names.push_back(name);
+  for (const auto& [name, value] : snap.gauges) names.push_back(name);
+  for (const auto& [name, value] : snap.histograms) names.push_back(name);
+  for (const std::string& name : names) {
+    EXPECT_NE(name.rfind("exec.", 0), 0u) << name;
+  }
+}
+
 TEST(WarehouseTest, DefineTwiceThrows) {
   Warehouse wh = MakeWarehouse();
   EXPECT_THROW(wh.DefineSummaryTables(RetailSummaryTables()),
