@@ -23,10 +23,13 @@ inline std::vector<obs::Json>& Fig9Entries() {
   return *entries;
 }
 
+/// `refresh` (nullable) adds the MIN/MAX recompute's row and group
+/// counts, summed over the series' iterations.
 inline void AddFig9Entry(const std::string& panel, const std::string& series,
                          size_t pos_rows, size_t change_rows,
                          double mean_seconds, size_t delta_rows,
-                         size_t threads = 1) {
+                         size_t threads = 1,
+                         const core::RefreshStats* refresh = nullptr) {
   obs::Json e = obs::Json::Object();
   e.Set("panel", obs::Json::Str(panel));
   e.Set("series", obs::Json::Str(series));
@@ -37,6 +40,15 @@ inline void AddFig9Entry(const std::string& panel, const std::string& series,
                          std::thread::hardware_concurrency())));
   e.Set("ms", obs::Json::Double(mean_seconds * 1e3));
   e.Set("delta_rows", obs::Json::Int(static_cast<int64_t>(delta_rows)));
+  if (refresh != nullptr) {
+    e.Set("recompute_scan_rows",
+          obs::Json::Int(static_cast<int64_t>(refresh->recompute_scan_rows)));
+    e.Set("recompute_rows_aggregated",
+          obs::Json::Int(
+              static_cast<int64_t>(refresh->recompute_rows_aggregated)));
+    e.Set("recomputed_groups",
+          obs::Json::Int(static_cast<int64_t>(refresh->recomputed_groups)));
+  }
   Fig9Entries().push_back(std::move(e));
 }
 
@@ -128,6 +140,7 @@ inline void RegisterFig9(const std::string& panel, bool sweep_changes,
           uint64_t seed = 1000;
           double total = 0;
           double refresh_total = 0;
+          core::RefreshStats refresh;
           size_t runs = 0;
           size_t delta_rows = 0;
           for (auto _ : state) {
@@ -137,6 +150,7 @@ inline void RegisterFig9(const std::string& panel, bool sweep_changes,
             state.SetIterationTime(report.maintenance_seconds());
             total += report.maintenance_seconds();
             refresh_total += report.refresh_seconds;
+            refresh += report.TotalRefresh();
             delta_rows = report.propagate.delta_groups;
             ++runs;
           }
@@ -144,7 +158,7 @@ inline void RegisterFig9(const std::string& panel, bool sweep_changes,
                                          static_cast<double>(runs);
           AddFig9Entry(panel, "SummaryDeltaMaint", pos_of(state.range(0)),
                        changes_of(state.range(0)), total / runs, delta_rows,
-                       threads);
+                       threads, &refresh);
         }));
   }
 

@@ -28,6 +28,10 @@ struct RefreshStats {
   size_t updated = 0;            ///< groups updated in place
   size_t recomputed_groups = 0;  ///< groups recomputed from base data
   size_t recompute_scan_rows = 0;  ///< base rows scanned for recomputes
+  /// Base rows that passed the recompute filter, the join and WHERE and
+  /// reached the accumulators — the rows of the recomputed groups. At
+  /// most recompute_scan_rows.
+  size_t recompute_rows_aggregated = 0;
   /// Groups whose recompute was forced by the §3.1 MIN/MAX
   /// non-self-maintainability path — a deletion tied or beat a stored
   /// extremum (Figure 7's recompute test). A strict subset of
@@ -49,6 +53,7 @@ struct RefreshStats {
     updated += o.updated;
     recomputed_groups += o.recomputed_groups;
     recompute_scan_rows += o.recompute_scan_rows;
+    recompute_rows_aggregated += o.recompute_rows_aggregated;
     minmax_recomputes += o.minmax_recomputes;
     key_packed_ops += o.key_packed_ops;
     key_fallback_ops += o.key_fallback_ops;
@@ -57,7 +62,8 @@ struct RefreshStats {
 
   /// Folds this run's counters into a registry (refresh.inserts,
   /// refresh.deletes, refresh.updates, refresh.recomputed_groups,
-  /// refresh.recompute_scan_rows, refresh.minmax_recomputes, plus the
+  /// refresh.recompute_scan_rows, refresh.recompute_rows_aggregated,
+  /// refresh.minmax_recomputes, plus the
   /// pipeline-wide key.packed_rows / key.fallback_rows).
   void EmitTo(obs::MetricsRegistry& metrics) const;
 };
@@ -73,7 +79,8 @@ struct RefreshStats {
 ///    COUNT(e) deciding when SUM/MIN/MAX become NULL.
 ///
 /// Groups that need recomputation are collected and recomputed together
-/// in one scan of the base data after the cursor loop.
+/// after the cursor loop: one typed scan of the fact table selects the
+/// rows of those groups, and only those rows are joined and aggregated.
 ///
 /// PRECONDITION: the catalog's base tables must already reflect the
 /// changes the summary-delta was computed from (the paper's assumption
@@ -82,7 +89,9 @@ struct RefreshStats {
 /// that does not exist).
 ///
 /// The refresh.view span parents on the calling thread's innermost open
-/// span; `ctx.pool` is unused (the cursor loop is sequential).
+/// span. The cursor loop is sequential; `ctx.pool`, when set, runs the
+/// recompute's fact-table filter in morsels (results are identical at
+/// every thread count).
 RefreshStats Refresh(const rel::Catalog& catalog, SummaryTable& view,
                      const rel::Table& summary_delta,
                      const RefreshOptions& options = {},

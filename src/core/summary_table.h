@@ -95,8 +95,10 @@ class SummaryTable {
   // Value-equals one that packs, so lookups probe a single index).
   rel::FlatHashMap<rel::PackedKey, size_t, rel::PackedKeyHash> packed_index_;
   std::unordered_map<rel::GroupKey, size_t, rel::GroupKeyHash> boxed_index_;
-  // Mutated on const Find: accounting only. Refresh probes one view from
-  // one thread (parallel refresh is one task per view), so no races.
+  // Mutated on const Find: accounting only. Views refresh one after
+  // another on the calling thread, and only that thread probes a
+  // summary table during refresh (the recompute filter's morsels never
+  // touch it), so no races.
   mutable uint64_t packed_ops_ = 0;
   mutable uint64_t fallback_ops_ = 0;
 };

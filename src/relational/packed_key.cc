@@ -1,5 +1,6 @@
 #include "relational/packed_key.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <stdexcept>
@@ -226,6 +227,79 @@ PackedKeyCodec::ColumnarEncode PackedKeyCodec::EncodeColumns(
   *out = PackedKey{static_cast<uint64_t>(bits),
                    static_cast<uint64_t>(bits >> 64)};
   return ColumnarEncode::kPacked;
+}
+
+namespace {
+
+/// ORs `code` into the key at bit offset `shift` (the field may straddle
+/// the lo/hi boundary).
+inline void OrField(PackedKey* key, uint64_t code, unsigned shift) {
+  if (shift >= 64) {
+    key->hi |= code << (shift - 64);
+    return;
+  }
+  key->lo |= code << shift;
+  if (shift > 0) key->hi |= code >> (64 - shift);
+}
+
+}  // namespace
+
+void PackedKeyCodec::EncodeColumnsRange(const Table& table,
+                                        const std::vector<size_t>& indices,
+                                        size_t begin, size_t end,
+                                        StringMode mode, PackedKey* out,
+                                        ColumnarEncode* outcome) const {
+  const size_t n = end - begin;
+  std::fill(out, out + n, PackedKey{});
+  std::fill(outcome, outcome + n, ColumnarEncode::kPacked);
+  for (size_t i = 0; i < cols_.size(); ++i) {
+    const Col& c = cols_[i];
+    const ColumnVector& cv = table.column_data(indices[i]);
+    const uint64_t* nulls = cv.null_words();
+    if (cv.storage() == ColumnVector::Storage::kInt64) {
+      const int64_t* ints = cv.ints();
+      for (size_t k = 0; k < n; ++k) {
+        const size_t row = begin + k;
+        uint64_t code = c.null_code;
+        if (!ColumnVector::WordBit(nulls, row)) {
+          const int64_t iv = ints[row];
+          if (iv < 0 || static_cast<uint64_t>(iv) >= c.null_code) {
+            if (outcome[k] == ColumnarEncode::kPacked) {
+              outcome[k] = ColumnarEncode::kEscaped;
+            }
+            continue;
+          }
+          code = static_cast<uint64_t>(iv);
+        }
+        OrField(&out[k], code, c.shift);
+      }
+    } else if (cv.storage() == ColumnVector::Storage::kDict &&
+               c.dict == cv.dict().get()) {
+      // The codec shares the column's dictionary: codes copy verbatim.
+      const uint32_t* codes = cv.codes();
+      for (size_t k = 0; k < n; ++k) {
+        const size_t row = begin + k;
+        OrField(&out[k],
+                ColumnVector::WordBit(nulls, row) ? c.null_code : codes[row],
+                c.shift);
+      }
+    } else {
+      // Strings through another dictionary, boxed storage: the exact
+      // per-value path, skipping keys an earlier column already failed.
+      for (size_t k = 0; k < n; ++k) {
+        if (outcome[k] != ColumnarEncode::kPacked) continue;
+        unsigned __int128 bits = 0;
+        bool unknown = false;
+        if (EncodeValueMode(c, cv.At(begin + k), mode, &bits, &unknown)) {
+          out[k].lo |= static_cast<uint64_t>(bits);
+          out[k].hi |= static_cast<uint64_t>(bits >> 64);
+        } else {
+          outcome[k] = unknown ? ColumnarEncode::kUnknownString
+                               : ColumnarEncode::kEscaped;
+        }
+      }
+    }
+  }
 }
 
 std::optional<PackedKey> PackedKeyCodec::EncodeRow(

@@ -122,6 +122,20 @@ class PackedKeyCodec {
                                const std::vector<size_t>& indices, size_t row,
                                StringMode mode, PackedKey* out) const;
 
+  /// Batch form of EncodeColumns over rows [begin, end) of `table`:
+  /// writes row begin + i's key to out[i] and its outcome to
+  /// outcome[i]. Each column's storage mode is dispatched once per call
+  /// rather than once per row, so typed and dictionary-shared columns
+  /// encode in a tight loop. Row for row identical to EncodeColumns: a
+  /// key that escapes or misses a string keeps the first failing
+  /// column's outcome (its out[i] is unspecified). Under kIntern,
+  /// strings new to a dictionary are interned column by column, so the
+  /// codes they get may differ from a row-by-row loop's.
+  void EncodeColumnsRange(const Table& table,
+                          const std::vector<size_t>& indices, size_t begin,
+                          size_t end, StringMode mode, PackedKey* out,
+                          ColumnarEncode* outcome) const;
+
   bool packable() const { return packable_; }
   size_t num_columns() const { return cols_.size(); }
   int width(size_t col) const { return cols_[col].width; }

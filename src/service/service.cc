@@ -414,15 +414,35 @@ void WarehouseService::ApplyItems(std::vector<IngestItem> items) {
   // before this batch picked it up (the paper's batch-window tension).
   slo_.ObserveStaleness(staleness);
 
-  std::shared_ptr<const Epoch> next =
-      NextEpoch(&delta_rows, dims_changed, /*full_rebuild=*/false);
+  std::shared_ptr<const Epoch> next;
+  {
+    obs::TraceSpan build_span(options_.tracer, "service.epoch_build");
+    build_span.Attr("batch_id", batch_id);
+    core::Stopwatch build_sw;
+    const std::shared_ptr<const Epoch> prev = versioned_.Current();
+    next = NextEpoch(&delta_rows, dims_changed, /*full_rebuild=*/false);
+    uint64_t shared = 0;
+    for (size_t v = 0; prev && v < next->views.size(); ++v) {
+      shared += v < prev->views.size() && next->views[v] == prev->views[v];
+    }
+    build_span.Attr("views_rebuilt", next->views.size() - shared);
+    build_span.Attr("views_shared", shared);
+    metrics_->Set("service.epoch_build_seconds", build_sw.ElapsedSeconds());
+  }
   const uint64_t epoch_number = next->number;
   double window = 0;
+  std::shared_ptr<const Epoch> retired;
   {
     obs::TraceSpan install_span(options_.tracer, "service.epoch_install");
     install_span.Attr("batch_id", batch_id);
     install_span.Attr("epoch", epoch_number);
-    window = versioned_.Install(std::move(next));
+    retired = versioned_.Install(std::move(next), &window);
+  }
+  {
+    // Frees the previous epoch's tables unless a reader still pins it.
+    obs::TraceSpan retire_span(options_.tracer, "service.epoch_retire");
+    retire_span.Attr("batch_id", batch_id);
+    retired.reset();
   }
   events_.Record(obs::EventType::kEpochInstall, batch_id, /*request_id=*/0,
                  max_seq, window, "epoch " + std::to_string(epoch_number));

@@ -92,19 +92,20 @@ std::shared_ptr<const Epoch> VersionedTables::Current() const {
   return current_;
 }
 
-double VersionedTables::Install(std::shared_ptr<const Epoch> next) {
+std::shared_ptr<const Epoch> VersionedTables::Install(
+    std::shared_ptr<const Epoch> next, double* window_seconds) {
   // The reader-visible batch window: everything before this point built
   // `next` off to the side; everything readers can observe flips in one
-  // pointer exchange under the pin mutex. The retired epoch moves into a
-  // local and is freed after the lock is released (and after the window
-  // is measured), so readers in Pin() never wait on its tables.
+  // pointer exchange under the pin mutex. The retired epoch leaves with
+  // the caller, so readers in Pin() never wait on its tables.
   core::Stopwatch sw;
   std::shared_ptr<const Epoch> retired;
   {
     std::scoped_lock lock(mu_);
     retired = std::exchange(current_, std::move(next));
   }
-  return sw.ElapsedSeconds();
+  if (window_seconds != nullptr) *window_seconds = sw.ElapsedSeconds();
+  return retired;
 }
 
 std::shared_ptr<const rel::Catalog> MakeReaderCatalog(

@@ -94,11 +94,13 @@ class VersionedTables {
   ReadSnapshot Pin() const;
   std::shared_ptr<const Epoch> Current() const;
 
-  /// Installs `next` as the current epoch and returns the seconds the
-  /// swap itself took (the measured service.refresh_window). The
-  /// retired epoch is released after the pin mutex is dropped, so
-  /// freeing its tables never blocks a concurrent Pin().
-  double Install(std::shared_ptr<const Epoch> next);
+  /// Installs `next` as the current epoch and hands back the epoch it
+  /// replaced, so the caller frees it outside the pin mutex (and can
+  /// time that free on its own): freeing its tables never blocks a
+  /// concurrent Pin(). `window_seconds` (nullable) receives the seconds
+  /// the swap itself took (the measured service.refresh_window).
+  std::shared_ptr<const Epoch> Install(std::shared_ptr<const Epoch> next,
+                                       double* window_seconds = nullptr);
 
  private:
   mutable std::mutex mu_;

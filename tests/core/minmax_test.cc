@@ -211,6 +211,9 @@ TEST(MinMaxTest, RecomputedGroupsShareOneBaseScan) {
   // |pos| after the batch is 5: one scan, not one per group.
   ASSERT_EQ(c.GetTable("pos").NumRows(), 5u);
   EXPECT_EQ(stats.recompute_scan_rows, 5u);
+  // Of those five, only (1,10,1,3) and (2,20,3,4) belong to the two
+  // recomputed groups and reach the accumulators.
+  EXPECT_EQ(stats.recompute_rows_aggregated, 2u);
   sdelta::testing::ExpectBagEq(EvaluateView(c, av.physical), st.ToTable());
 }
 

@@ -8,12 +8,14 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "relational/dictionary.h"
 #include "relational/group_key.h"
 #include "relational/schema.h"
+#include "relational/table.h"
 #include "relational/value.h"
 
 namespace sdelta::rel {
@@ -196,6 +198,58 @@ TEST(PackedKeyCodecTest, ForColumnsReadsTypesFromSchema) {
   PackedKeyCodec with_double = PackedKeyCodec::ForColumns(
       schema, {0, 2}, [&](const Column&) { return &arena.Add(); });
   EXPECT_FALSE(with_double.packable());
+}
+
+TEST(PackedKeyCodecTest, EncodeColumnsRangeMatchesEncodeColumnsPerRow) {
+  // id: int64 with NULLs and a negative (escapes); city: dictionary
+  // column; tag: demoted to boxed by one int64 value; wide: int64 values
+  // that need more than 32 bits, so three-column keys straddle the
+  // lo/hi boundary.
+  Schema schema;
+  schema.AddColumn("id", ValueType::kInt64);
+  schema.AddColumn("city", ValueType::kString);
+  schema.AddColumn("tag", ValueType::kString);
+  schema.AddColumn("wide", ValueType::kInt64);
+  Table t(schema, "t");
+  auto label = [](char prefix, int64_t n) {
+    std::string s(1, prefix);
+    s += std::to_string(n);
+    return Value::String(s);
+  };
+  for (int64_t r = 0; r < 40; ++r) {
+    t.Insert({r % 7 == 0 ? Value::Null() : Value::Int64(r % 9 == 0 ? -r : r),
+              r % 5 == 0 ? Value::Null() : label('c', r % 4),
+              r == 13 ? Value::Int64(13) : label('t', r % 3),
+              Value::Int64((int64_t{1} << 40) + r)});
+  }
+  ASSERT_TRUE(t.column_data(2).boxed());
+  DictionaryArena arena;
+  const std::vector<std::vector<size_t>> layouts = {
+      {0}, {1}, {2}, {0, 1}, {1, 0, 3}, {3, 2, 0}};
+  for (const std::vector<size_t>& cols : layouts) {
+    const PackedKeyCodec codec =
+        PackedKeyCodec::ForTableColumns(t, cols, &arena);
+    ASSERT_TRUE(codec.packable());
+    for (const auto mode : {PackedKeyCodec::StringMode::kLookupOnly,
+                            PackedKeyCodec::StringMode::kIntern}) {
+      const size_t begin = 3;
+      const size_t end = 37;
+      std::vector<PackedKey> keys(end - begin);
+      std::vector<PackedKeyCodec::ColumnarEncode> outcome(end - begin);
+      codec.EncodeColumnsRange(t, cols, begin, end, mode, keys.data(),
+                               outcome.data());
+      for (size_t row = begin; row < end; ++row) {
+        PackedKey expected;
+        const PackedKeyCodec::ColumnarEncode enc =
+            codec.EncodeColumns(t, cols, row, mode, &expected);
+        SCOPED_TRACE("row " + std::to_string(row));
+        ASSERT_EQ(outcome[row - begin], enc);
+        if (enc == PackedKeyCodec::ColumnarEncode::kPacked) {
+          EXPECT_EQ(keys[row - begin], expected);
+        }
+      }
+    }
+  }
 }
 
 TEST(PackedKeyCodecTest, DisablingTheToggleForcesTheBoxedPath) {

@@ -154,6 +154,35 @@ TEST_F(ObservabilityTest, TraceTreeConnectsBatchToWarehouseRuns) {
   EXPECT_TRUE(saw_query);
 }
 
+TEST_F(ObservabilityTest, EpochBuildAndRetireHaveTheirOwnSpans) {
+  obs::Tracer tracer;
+  WarehouseService::Options options;
+  options.tracer = &tracer;
+  auto svc = OpenService(std::move(options));
+  svc->Append(NextChanges(80, 1));
+  svc->Flush();
+  svc->Stop();  // quiesce before reading spans
+
+  uint64_t batch_id = 0, build_parent = 0, retire_parent = 0;
+  std::map<std::string, std::string> build_attrs;
+  for (const obs::SpanRecord& span : tracer.spans()) {
+    if (span.name == "service.batch") batch_id = span.id;
+    if (span.name == "service.epoch_build") {
+      build_parent = span.parent_id;
+      build_attrs.insert(span.attributes.begin(), span.attributes.end());
+    }
+    if (span.name == "service.epoch_retire") retire_parent = span.parent_id;
+  }
+  ASSERT_GT(batch_id, 0u);
+  EXPECT_EQ(build_parent, batch_id);
+  EXPECT_EQ(retire_parent, batch_id);
+  // Insertion-generating changes touch every retail view, so the epoch
+  // rebuilds all four and shares none.
+  EXPECT_EQ(build_attrs["views_rebuilt"], "4");
+  EXPECT_EQ(build_attrs["views_shared"], "0");
+  EXPECT_GT(svc->metrics().gauge("service.epoch_build_seconds"), 0.0);
+}
+
 TEST_F(ObservabilityTest, SlowQueryEventsCarryDistinctRequestIds) {
   WarehouseService::Options options;
   options.slow_query_threshold_seconds = 0.0;  // every query is "slow"

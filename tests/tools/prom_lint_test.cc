@@ -341,6 +341,28 @@ TEST(PromLintTest, ReplicaAtOrBehindWriterLintsClean) {
   EXPECT_TRUE(LintPrometheusText(doc).empty());
 }
 
+TEST(PromLintTest, RecomputeAggregatingFewerRowsThanScannedLintsClean) {
+  const char* doc =
+      "# TYPE sdelta_refresh_recompute_scan_rows_total counter\n"
+      "sdelta_refresh_recompute_scan_rows_total 500000\n"
+      "# TYPE sdelta_refresh_recompute_rows_aggregated_total counter\n"
+      "sdelta_refresh_recompute_rows_aggregated_total 12905\n";
+  EXPECT_TRUE(LintPrometheusText(doc).empty());
+}
+
+TEST(PromLintTest, RecomputeAggregatingMoreRowsThanScannedIsFlagged) {
+  const char* doc =
+      "# TYPE sdelta_refresh_recompute_scan_rows_total counter\n"
+      "sdelta_refresh_recompute_scan_rows_total 100\n"
+      "# TYPE sdelta_refresh_recompute_rows_aggregated_total counter\n"
+      "sdelta_refresh_recompute_rows_aggregated_total 101\n";
+  const auto problems = LintPrometheusText(doc);
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems[0].find("sdelta_refresh_recompute_rows_aggregated_total"),
+            std::string::npos);
+  EXPECT_NE(problems[0].find("exceeds"), std::string::npos);
+}
+
 TEST(PromLintTest, AbsentDiagnosticFamiliesSkipTheCrossChecks) {
   // A service with the anomaly layer off exports neither series; the
   // cross-family checks must not demand them.

@@ -411,8 +411,9 @@ class Linter {
     family_ = FamilyState{};
   }
 
-  /// Whole-document invariants between the diagnostic-layer families
-  /// (events.* gauges, anomaly.* counters). Each check only fires when
+  /// Whole-document invariants between related families (events.*
+  /// gauges, anomaly.* counters, replica epochs, refresh recompute
+  /// counters). Each check only fires when
   /// both series are present, so documents from services with those
   /// subsystems off still lint clean.
   void CrossFamilyChecks() {
@@ -443,6 +444,9 @@ class Linter {
     // installed epoch (epochs only exist once the writer ships them).
     require_le("sdelta_replica_applied_epoch",
                "sdelta_writer_installed_epoch");
+    // The MIN/MAX recompute aggregates a subset of the rows it scans.
+    require_le("sdelta_refresh_recompute_rows_aggregated_total",
+               "sdelta_refresh_recompute_scan_rows_total");
   }
 
   std::vector<std::string> errors_;

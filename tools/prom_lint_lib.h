@@ -38,7 +38,10 @@ namespace sdelta::tools {
 ///     each check applies only when both series appear in the document;
 ///   * replication semantics: replica_applied_epoch <=
 ///     writer_installed_epoch — again only when both series are
-///     present.
+///     present;
+///   * refresh semantics: refresh_recompute_rows_aggregated_total <=
+///     refresh_recompute_scan_rows_total (the MIN/MAX recompute
+///     aggregates a subset of the rows it scans), when both appear.
 ///
 /// Returns the list of problems, one human-readable line each, with
 /// 1-based line numbers; empty = the document lints clean.
